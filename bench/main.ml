@@ -272,8 +272,8 @@ let banding_bench ?(len = 512) () =
 
    The same workloads through the systolic engine twice — once with the
    kernel's compiled flat datapath (the default) and once with the
-   symbolic interpreter's boxed closure ([Datapath.eval], the evaluator
-   the compile pass replaces) substituted as the PE — across three
+   symbolic interpreter ([Kernel.boxed]: [Datapath.eval], the evaluator
+   the compile pass replaces) as the PE — across three
    recurrence shapes and three array widths. Wall-clock per alignment
    and cells/s per mode land in BENCH_3.json. *)
 let pe_bench ?(len = 256) () =
@@ -296,9 +296,7 @@ let pe_bench ?(len = 256) () =
         let rng = Dphls_util.Rng.create (seed + id) in
         let w = e.Dphls_kernels.Catalog.gen rng ~len in
         let (Registry.Packed (k, p)) = e.packed in
-        let cell, bindings = Dphls_kernels.Datapaths.cell_for id in
-        let interp = Datapath.eval cell bindings in
-        let boxed = { k with Kernel.pe = (fun _ -> interp); pe_flat = None } in
+        let boxed = Kernel.boxed k in
         let cells =
           Array.length w.Workload.query * Array.length w.Workload.reference
         in

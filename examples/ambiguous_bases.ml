@@ -54,9 +54,9 @@ let ambiguous_kernel : params Kernel.t =
     init_row = (fun p ~ref_len:_ ~layer:_ ~col -> p.gap * (col + 1));
     init_col = (fun p ~qry_len:_ ~layer:_ ~row -> p.gap * (row + 1));
     origin = (fun _ ~layer:_ -> 0);
-    pe;
-    (* boxed-only example kernel: engines adapt [pe] automatically *)
-    pe_flat = None;
+    (* a hand-written boxed PE: engines adapt it automatically; an
+       [Ir] cell would also get RTL and the datapath passes *)
+    pe = Closure pe;
     score_site = Traceback.Bottom_right;
     traceback = (fun _ -> Some { Traceback.fsm = Linear.fsm; stop = Traceback.At_origin });
     banding = None;

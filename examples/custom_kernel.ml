@@ -40,9 +40,9 @@ let edit_distance_kernel : unit Kernel.t =
     init_row = (fun () ~ref_len:_ ~layer:_ ~col -> col + 1);
     init_col = (fun () ~qry_len:_ ~layer:_ ~row -> row + 1);
     origin = (fun () ~layer:_ -> 0);
-    pe;
-    (* boxed-only example kernel: engines adapt [pe] automatically *)
-    pe_flat = None;
+    (* a hand-written boxed PE: engines adapt it automatically; an
+       [Ir] cell would also get RTL and the datapath passes *)
+    pe = Closure pe;
     score_site = Traceback.Bottom_right;
     traceback =
       (fun () -> Some { Traceback.fsm = Linear.fsm; stop = Traceback.At_origin });

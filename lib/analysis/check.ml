@@ -110,8 +110,8 @@ let datapath_findings ~(k : 'p Kernel.t) = function
   | None ->
     [
       Report.info ~check:"depend-skipped"
-        "no symbolic datapath registered — dependence, recurrence-II and \
-         fast-path analyses need the expression IR (closure-only kernel)";
+        "closure kernel: dependence, recurrence-II and fast-path \
+         analyses need the expression IR (a Kernel.Ir pe)";
     ]
   | Some (cell, bindings) ->
     if Array.length cell.Datapath.layers <> k.Kernel.n_layers then
@@ -153,7 +153,7 @@ let datapath_findings ~(k : 'p Kernel.t) = function
       @ Fastpath.findings (Fastpath.classify cell bindings)
     end
 
-let run ?n_pe ?datapath ?host ~max_len ~chars (Registry.Packed (k, p)) =
+let run ?n_pe ?host ~max_len ~chars (Registry.Packed (k, p)) =
   let findings = ref [] in
   let add_all fs = findings := !findings @ fs in
   let structural = Lint.structural k p in
@@ -174,16 +174,26 @@ let run ?n_pe ?datapath ?host ~max_len ~chars (Registry.Packed (k, p)) =
             "no character samples available — width analysis skipped";
         ]
     else begin
-      let w = Widths.analyze k p ~max_len ~chars in
-      gap := w.Widths.gap_magnitude;
-      add_all (width_findings w ~score_bits:k.Kernel.score_bits ~max_len);
-      if Kernel.has_traceback k p then
-        add_all (tb_width_findings w ~tb_bits:k.Kernel.tb_bits)
+      (* the preconditions of [analyze] hold here, so a raise comes from
+         the PE itself: an IR the compiler rejects (the datapath passes
+         below say why) *)
+      match Widths.analyze k p ~max_len ~chars with
+      | exception Invalid_argument msg ->
+        add_all
+          [
+            Report.warning ~check:"width-skipped"
+              ("width analysis skipped: the PE cannot be evaluated: " ^ msg);
+          ]
+      | w ->
+        gap := w.Widths.gap_magnitude;
+        add_all (width_findings w ~score_bits:k.Kernel.score_bits ~max_len);
+        if Kernel.has_traceback k p then
+          add_all (tb_width_findings w ~tb_bits:k.Kernel.tb_bits)
     end;
   (match k.Kernel.traceback p with
   | None -> ()
   | Some spec -> add_all (fsm_findings spec ~tb_bits:k.Kernel.tb_bits));
-  add_all (datapath_findings ~k datapath);
+  add_all (datapath_findings ~k (Kernel.datapath k p));
   add_all (Lint.banding k.Kernel.banding ~gap_magnitude:!gap ~max_len);
   add_all (Lint.parallelism ~n_pe ~max_len);
   add_all (Lint.domain_safety host);

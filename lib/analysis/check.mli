@@ -14,7 +14,6 @@ val chars_of_workload :
 
 val run :
   ?n_pe:int ->
-  ?datapath:Datapath.cell * Datapath.bindings ->
   ?host:Lint.host_config ->
   max_len:int ->
   chars:(Types.ch * Types.ch) array ->
@@ -26,9 +25,9 @@ val run :
     when traceback is enabled), FSM model checking ({!Fsm_check}),
     the three datapath analyses — dependence footprint ({!Depend}),
     loop-carried recurrence II ({!Ii}) and bit-parallel fast-path
-    eligibility ({!Fastpath}) — when the kernel's symbolic datapath is
-    supplied via [datapath] (a [depend-skipped] info otherwise; the
-    CLI fetches it from [Dphls_kernels.Datapaths]), and the banding,
+    eligibility ({!Fastpath}) — on the kernel's own IR at the packed
+    parameters ({!Kernel.datapath}; a [depend-skipped] info for a
+    [Closure] kernel), and the banding,
     parallelism and domain-safety lints ({!Lint}). [n_pe] is the
     PE-array size to lint utilization against, when known; [host] is
     the host-side run configuration for {!Lint.domain_safety}. *)

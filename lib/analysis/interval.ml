@@ -32,7 +32,15 @@ let join a b =
     pos_inf = a.pos_inf || b.pos_inf;
   }
 
-let observe t x = join t (of_score x)
+(* [join t (of_score x)] without building either record when [x] is
+   already covered: the width analyzer observes every probe output *)
+let observe t x =
+  if Score.is_neg_inf x then if t.neg_inf then t else { t with neg_inf = true }
+  else if Score.is_pos_inf x then if t.pos_inf then t else { t with pos_inf = true }
+  else if not t.finite then { t with lo = x; hi = x; finite = true }
+  else if x < t.lo then { t with lo = x }
+  else if x > t.hi then { t with hi = x }
+  else t
 
 let equal a b =
   a.finite = b.finite && a.neg_inf = b.neg_inf && a.pos_inf = b.pos_inf

@@ -85,7 +85,6 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
   let worst = Score.worst_value objective in
   let bits = k.Kernel.score_bits in
   let lo_bound = min_repr bits and hi_bound = max_repr bits in
-  let pe = k.Kernel.pe p in
   let chars =
     if Array.length chars > max_char_samples then Array.sub chars 0 max_char_samples
     else chars
@@ -94,21 +93,57 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
   let impure = ref false in
   let layer_mismatch = ref false in
   let tb_lo = ref max_int and tb_hi = ref min_int in
-  let call ~purity input =
+  (* Hundreds of thousands of probes, all through one register file: an
+     IR kernel's compiled program, or a closure kernel's closure adapted
+     here rather than by [Pe.flat_of_f], so that a wrong layer count is
+     a finding instead of an exception. *)
+  let flat =
+    match k.Kernel.pe with
+    | Kernel.Ir _ -> Kernel.flat_pe k p
+    | Kernel.Closure f ->
+      let f = f p in
+      fun (buf : Pe.buffers) ->
+        let out =
+          f
+            {
+              Pe.up = buf.Pe.b_up;
+              diag = buf.Pe.b_diag;
+              left = buf.Pe.b_left;
+              qry = buf.Pe.b_qry;
+              rf = buf.Pe.b_rf;
+              row = buf.Pe.b_row;
+              col = buf.Pe.b_col;
+            }
+        in
+        let m = Array.length out.Pe.scores in
+        if m <> n_layers then layer_mismatch := true;
+        Array.blit out.Pe.scores 0 buf.Pe.b_scores 0 (min m n_layers);
+        buf.Pe.b_tb <- out.Pe.tb
+  in
+  let buf = Pe.create_buffers ~n_layers in
+  (* Evaluate the cell loaded into [buf]; the outputs stay in its
+     [b_scores] and [b_tb]. *)
+  let call ~purity ~q ~r ~row ~col =
     incr probes;
-    let out = pe input in
-    if Array.length out.Pe.scores <> n_layers then layer_mismatch := true;
-    if out.Pe.tb < !tb_lo then tb_lo := out.Pe.tb;
-    if out.Pe.tb > !tb_hi then tb_hi := out.Pe.tb;
+    buf.Pe.b_qry <- q;
+    buf.Pe.b_rf <- r;
+    buf.Pe.b_row <- row;
+    buf.Pe.b_col <- col;
+    flat buf;
+    let tb = buf.Pe.b_tb in
+    if tb < !tb_lo then tb_lo := tb;
+    if tb > !tb_hi then tb_hi := tb;
     if purity then begin
-      let again = pe input in
-      if
-        again.Pe.tb <> out.Pe.tb
-        || Array.length again.Pe.scores <> Array.length out.Pe.scores
-        || not (Array.for_all2 Int.equal again.Pe.scores out.Pe.scores)
+      let scores = Array.copy buf.Pe.b_scores in
+      flat buf;
+      if buf.Pe.b_tb <> tb || not (Array.for_all2 Int.equal buf.Pe.b_scores scores)
       then impure := true
-    end;
-    out
+    end
+  in
+  let load_neighbours (up, diag, left) =
+    buf.Pe.b_up <- up;
+    buf.Pe.b_diag <- diag;
+    buf.Pe.b_left <- left
   in
   (* ---- neighbour corner assignments ---------------------------------
      The recurrences are monotone in every neighbour score (max/min of
@@ -166,15 +201,14 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
     let col = min (max 0 (d - row)) (max_len - 1) in
     let out_bounds = Array.make n_layers Interval.empty in
     List.iter
-      (fun (up, diag, left) ->
+      (fun neighbours ->
+        load_neighbours neighbours;
         Array.iter
           (fun (q, r) ->
-            let input = { Pe.up; diag; left; qry = q; rf = r; row; col } in
-            let out = call ~purity input in
-            Array.iteri
-              (fun l s ->
-                if l < n_layers then out_bounds.(l) <- Interval.observe out_bounds.(l) s)
-              out.Pe.scores)
+            call ~purity ~q ~r ~row ~col;
+            for l = 0 to n_layers - 1 do
+              out_bounds.(l) <- Interval.observe out_bounds.(l) buf.Pe.b_scores.(l)
+            done)
           chars)
       (assignments h);
     out_bounds
@@ -187,10 +221,11 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
     let worst_vec = Array.make n_layers worst in
     let worst_out = ref None in
     List.iter
-      (fun (up, diag, left) ->
+      (fun neighbours ->
+        load_neighbours neighbours;
         Array.iter
           (fun (q, r) ->
-            let out = call ~purity:false { Pe.up; diag; left; qry = q; rf = r; row = 1; col = 1 } in
+            call ~purity:false ~q ~r ~row:1 ~col:1;
             Array.iter
               (fun s ->
                 if not (Score.is_neg_inf s || Score.is_pos_inf s) then
@@ -200,7 +235,7 @@ let analyze (k : 'p Kernel.t) (p : 'p) ~max_len ~chars =
                   match !worst_out with
                   | None -> worst_out := Some adverse
                   | Some w -> if adverse > w then worst_out := Some adverse)
-              out.Pe.scores)
+              buf.Pe.b_scores)
           chars)
       [ (zero0, worst_vec, worst_vec); (worst_vec, worst_vec, zero0) ];
     match !worst_out with Some m when m > 0 -> Some m | _ -> None

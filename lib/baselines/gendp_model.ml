@@ -1,15 +1,14 @@
 open Dphls_core
 
 (* The datapath census gives the ALU-op count directly. *)
-let instructions_per_cell packed =
-  let id = Registry.id packed in
-  match Dphls_kernels.Datapaths.cell_for id with
-  | cell, _ ->
+let instructions_per_cell (Registry.Packed (k, p) as packed) =
+  match Kernel.datapath k p with
+  | Some (cell, _) ->
     let c = Datapath.count cell in
     c.Datapath.adders + c.Datapath.multipliers + c.Datapath.comparators
     + c.Datapath.lookups
     + (if Registry.tb_bits packed > 0 then 1 else 0)
-  | exception Not_found ->
+  | None ->
     let t = Registry.traits packed in
     t.Traits.adds_per_pe + t.Traits.muls_per_pe + t.Traits.cmps_per_pe
 

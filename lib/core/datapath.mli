@@ -1,13 +1,15 @@
 (** Symbolic PE datapath descriptions.
 
-    A kernel's recurrence can be given not only as an OCaml closure
-    ({!Pe.f}) but also as a symbolic expression tree. The symbolic form
-    is what the HLS back-end actually consumes in the real DP-HLS flow:
-    from it this reproduction can (a) evaluate the PE (and verify bit-
-    equality against the closure form — the analog of C-simulation vs
-    RTL co-simulation), (b) emit structural Verilog for the PE and the
-    surrounding systolic array, and (c) derive operator counts that
-    cross-check the resource model's traits.
+    A kernel's recurrence is stated once, as a symbolic expression tree
+    ([Kernel.Ir]; only user kernels fall back to a hand-written
+    {!Pe.f} closure). The symbolic form is what the HLS back-end
+    actually consumes in the real DP-HLS flow: from it this reproduction
+    (a) compiles the allocation-free PE the engines run ({!compile}) and
+    interprets it as a boxed PE ({!eval}) — the two are checked
+    bit-equal, the analog of C-simulation vs RTL co-simulation —
+    (b) emits structural Verilog for the PE and the surrounding systolic
+    array, and (c) derives operator counts that cross-check the resource
+    model's traits.
 
     Layer-evaluation convention: layers 1..n-1 are evaluated in ascending
     order first, then layer 0 (which may reference the freshly computed

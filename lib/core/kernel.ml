@@ -1,3 +1,7 @@
+type 'p pe =
+  | Ir of ('p -> Datapath.cell * Datapath.bindings)
+  | Closure of ('p -> Pe.f)
+
 type 'p t = {
   id : int;
   name : string;
@@ -9,8 +13,7 @@ type 'p t = {
   init_row : 'p -> ref_len:int -> layer:int -> col:int -> Types.score;
   init_col : 'p -> qry_len:int -> layer:int -> row:int -> Types.score;
   origin : 'p -> layer:int -> Types.score;
-  pe : 'p -> Pe.f;
-  pe_flat : ('p -> Pe.flat) option;
+  pe : 'p pe;
   score_site : Traceback.start_rule;
   traceback : 'p -> Traceback.spec option;
   banding : Banding.t option;
@@ -50,9 +53,21 @@ let validate k params =
 
 let has_traceback k params = Option.is_some (k.traceback params)
 
-let flat_pe k params =
-  match k.pe_flat with
-  | Some mk -> mk params
-  | None -> Pe.flat_of_f (k.pe params)
+let datapath k params =
+  match k.pe with Ir f -> Some (f params) | Closure _ -> None
 
-let boxed k = { k with pe_flat = None }
+let flat_pe k params =
+  match k.pe with
+  | Ir f ->
+    let cell, bindings = f params in
+    Datapath.flat (Datapath.compile cell bindings)
+  | Closure f -> Pe.flat_of_f (f params)
+
+let pe k params =
+  match k.pe with
+  | Ir f ->
+    let cell, bindings = f params in
+    Datapath.eval cell bindings
+  | Closure f -> f params
+
+let boxed k = { k with pe = Closure (pe k) }

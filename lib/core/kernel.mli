@@ -8,6 +8,20 @@
     — step (5), the (N_PE, N_B, N_K) triple — lives with the engines, and
     step (6), the host program, in [dphls_host]. *)
 
+(** Step (3), [PE_func]: the recurrence, stated once. *)
+type 'p pe =
+  | Ir of ('p -> Datapath.cell * Datapath.bindings)
+      (** The expression-IR cell and its parameter bindings. Every
+          catalog kernel uses this form: the engines run the compiled
+          program ({!flat_pe}), the RTL emitter and the checker's
+          dependence, recurrence-II and fast-path passes read the cell
+          ({!datapath}), and the boxed view ({!pe}) interprets it. *)
+  | Closure of ('p -> Pe.f)
+      (** A hand-written boxed [PE_func], closed over the scoring
+          parameters: the escape hatch for user kernels the IR cannot
+          express. Such a kernel has no {!datapath}, so it gets no RTL,
+          no datapath passes and no bit-parallel routing. *)
+
 type 'p t = {
   id : int;  (** Table 1 kernel number (0 for user-defined kernels) *)
   name : string;
@@ -22,16 +36,7 @@ type 'p t = {
       (** [init_col_scr]: virtual column -1. *)
   origin : 'p -> layer:int -> Types.score;
       (** Value of the virtual corner (-1,-1), the diag neighbour of (0,0). *)
-  pe : 'p -> Pe.f;
-      (** [PE_func], closed over the scoring parameters. *)
-  pe_flat : ('p -> Pe.flat) option;
-      (** Optional allocation-free evaluator of the same recurrence
-          (typically [Datapath.flat] of the kernel's compiled symbolic
-          datapath). When present the engines run it instead of adapting
-          [pe]; results must be bit-identical to [pe] — the differential
-          suite enforces this for every catalog kernel. Each application
-          [mk params] must return a fresh evaluator (engines call it once
-          per run, so per-domain scratch stays per-domain). *)
+  pe : 'p pe;
   score_site : Traceback.start_rule;
       (** Where the kernel's objective value is read (and where traceback
           starts when enabled). *)
@@ -55,11 +60,24 @@ val validate : 'p t -> 'p -> unit
 
 val has_traceback : 'p t -> 'p -> bool
 
+val datapath : 'p t -> 'p -> (Datapath.cell * Datapath.bindings) option
+(** The IR cell and bindings at these parameters; [None] for a
+    [Closure] kernel. *)
+
 val flat_pe : 'p t -> 'p -> Pe.flat
-(** The evaluator the engines actually run: [pe_flat] when wired, else
-    the boxed [pe] behind the {!Pe.flat_of_f} adapter. *)
+(** The evaluator the engines actually run: the compiled IR program
+    ({!Datapath.flat}), or a [Closure] behind the {!Pe.flat_of_f}
+    adapter. Each call returns a fresh evaluator with its own scratch
+    (engines call it once per run, so per-domain scratch stays
+    per-domain). *)
+
+val pe : 'p t -> 'p -> Pe.f
+(** The boxed view: the {!Datapath.eval} interpreter over the IR, or the
+    [Closure] itself. Slow; for one-off evaluations and differentials.
+    Many-call probes should wrap {!flat_pe} instead. *)
 
 val boxed : 'p t -> 'p t
-(** The kernel with [pe_flat] stripped, so engines fall back to the
-    boxed interpreter/closure path — the reference side of the
-    boxed-vs-compiled differential tests. *)
+(** The kernel as a [Closure] over its boxed view, so engines run the
+    interpreter instead of the compiled program — the reference side of
+    the compiled-vs-interpreted differentials ([dphls cosim], vectors
+    replay, [bench --pe-only]). The result has no {!datapath}. *)

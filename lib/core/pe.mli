@@ -8,7 +8,8 @@
 
     Two calling conventions exist:
     - the boxed {!f}: a pure [input -> output] closure that allocates its
-      output record — the user-facing form a kernel author writes;
+      output record — what the IR interpreter yields, and what a user
+      kernel author may write by hand ([Kernel.Closure]);
     - the flat {!flat}: an [buffers -> unit] evaluator that reads its
       inputs from and writes its results into a caller-owned {!buffers}
       record, allocating nothing. The engines run every PE through the

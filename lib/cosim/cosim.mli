@@ -37,8 +37,9 @@ val verify :
   report
 (** Run every workload through both engines and compare alignments
     bit-for-bit. Two extra golden passes may run per workload: one with
-    the boxed interpreter PE ([Kernel.boxed], checking the compiled
-    datapath against the closure it was derived from), and, when
+    the boxed PE ([Kernel.boxed]: for an IR kernel the interpreter,
+    checking the compiled datapath against the cell it was compiled
+    from), and, when
     [alt_pe] is given, one with the alternate PE.
 
     [max_mismatches] (default 8) bounds how many disagreeing workloads

@@ -3,7 +3,6 @@ module Engines = Dphls_engines.Engines
 module Engine_intf = Dphls_engines.Engine_intf
 
 type engine = Golden | Systolic of int | Bitpar | Auto of int
-type datapath = Compiled | Boxed
 
 type alignment = {
   score : int;
@@ -65,16 +64,13 @@ let run_via (type p) (e : Engine_intf.t) cfg ~overlap ?metrics ?tracer
       results,
     batch )
 
-let run_kernel_batch (type p) ?band ?(datapath = Compiled) ?(overlap = false)
+let run_kernel_batch (type p) ?band ?(overlap = false)
     ?metrics ?tracer ~engine (kernel : p Kernel.t) (params : p)
     (ws : Workload.t array) ~decode =
   let kernel =
     match band with
     | Some b -> { kernel with Kernel.banding = Some b }
     | None -> kernel
-  in
-  let kernel =
-    match datapath with Compiled -> kernel | Boxed -> Kernel.boxed kernel
   in
   let go e cfg = run_via e cfg ~overlap ?metrics ?tracer kernel params ws ~decode in
   match engine with
@@ -106,10 +102,10 @@ let run_kernel_batch (type p) ?band ?(datapath = Compiled) ?(overlap = false)
           ws,
         None )
 
-let run_kernel ?band ?datapath ?metrics ?tracer ~engine kernel params w ~decode
+let run_kernel ?band ?metrics ?tracer ~engine kernel params w ~decode
     =
   (fst
-     (run_kernel_batch ?band ?datapath ?metrics ?tracer ~engine kernel params
+     (run_kernel_batch ?band ?metrics ?tracer ~engine kernel params
         [| w |] ~decode)).(0)
 
 let dna_workload ~query ~reference =
@@ -120,30 +116,30 @@ let dna_workload ~query ~reference =
 let dna_decode c = Dphls_alphabet.Dna.decode c.(0)
 let protein_decode c = Dphls_alphabet.Protein.decode c.(0)
 
-let global ?band ?datapath ?metrics ?tracer ?(engine = Golden) ~query
+let global ?band ?metrics ?tracer ?(engine = Golden) ~query
     ~reference () =
-  run_kernel ?band ?datapath ?metrics ?tracer ~engine Dphls_kernels.K01_global_linear.kernel
+  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K01_global_linear.kernel
     Dphls_kernels.K01_global_linear.default
     (dna_workload ~query ~reference)
     ~decode:dna_decode
 
-let global_affine ?band ?datapath ?metrics ?tracer ?(engine = Golden) ~query
+let global_affine ?band ?metrics ?tracer ?(engine = Golden) ~query
     ~reference () =
-  run_kernel ?band ?datapath ?metrics ?tracer ~engine Dphls_kernels.K02_global_affine.kernel
+  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K02_global_affine.kernel
     Dphls_kernels.K02_global_affine.default
     (dna_workload ~query ~reference)
     ~decode:dna_decode
 
-let local ?band ?datapath ?metrics ?tracer ?(engine = Golden) ~query
+let local ?band ?metrics ?tracer ?(engine = Golden) ~query
     ~reference () =
-  run_kernel ?band ?datapath ?metrics ?tracer ~engine Dphls_kernels.K03_local_linear.kernel
+  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K03_local_linear.kernel
     Dphls_kernels.K03_local_linear.default
     (dna_workload ~query ~reference)
     ~decode:dna_decode
 
-let semi_global ?band ?datapath ?metrics ?tracer ?(engine = Golden) ~query
+let semi_global ?band ?metrics ?tracer ?(engine = Golden) ~query
     ~reference () =
-  run_kernel ?band ?datapath ?metrics ?tracer ~engine Dphls_kernels.K07_semi_global.kernel
+  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K07_semi_global.kernel
     Dphls_kernels.K07_semi_global.default
     (dna_workload ~query ~reference)
     ~decode:dna_decode
@@ -153,9 +149,9 @@ let protein_workload ~query ~reference =
     ~query:(Dphls_alphabet.Protein.of_string query)
     ~reference:(Dphls_alphabet.Protein.of_string reference)
 
-let protein_local ?band ?datapath ?metrics ?tracer ?(engine = Golden) ~query
+let protein_local ?band ?metrics ?tracer ?(engine = Golden) ~query
     ~reference () =
-  run_kernel ?band ?datapath ?metrics ?tracer ~engine Dphls_kernels.K15_protein_local.kernel
+  run_kernel ?band ?metrics ?tracer ~engine Dphls_kernels.K15_protein_local.kernel
     Dphls_kernels.K15_protein_local.default
     (protein_workload ~query ~reference)
     ~decode:protein_decode
@@ -167,35 +163,35 @@ let protein_local ?band ?datapath ?metrics ?tracer ?(engine = Golden) ~query
 let dna_workloads pairs =
   Array.map (fun (query, reference) -> dna_workload ~query ~reference) pairs
 
-let global_batch ?band ?datapath ?overlap ?metrics ?tracer ?(engine = Golden)
+let global_batch ?band ?overlap ?metrics ?tracer ?(engine = Golden)
     pairs =
-  run_kernel_batch ?band ?datapath ?overlap ?metrics ?tracer ~engine
+  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
     Dphls_kernels.K01_global_linear.kernel
     Dphls_kernels.K01_global_linear.default (dna_workloads pairs)
     ~decode:dna_decode
 
-let global_affine_batch ?band ?datapath ?overlap ?metrics ?tracer
+let global_affine_batch ?band ?overlap ?metrics ?tracer
     ?(engine = Golden) pairs =
-  run_kernel_batch ?band ?datapath ?overlap ?metrics ?tracer ~engine
+  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
     Dphls_kernels.K02_global_affine.kernel
     Dphls_kernels.K02_global_affine.default (dna_workloads pairs)
     ~decode:dna_decode
 
-let local_batch ?band ?datapath ?overlap ?metrics ?tracer ?(engine = Golden)
+let local_batch ?band ?overlap ?metrics ?tracer ?(engine = Golden)
     pairs =
-  run_kernel_batch ?band ?datapath ?overlap ?metrics ?tracer ~engine
+  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
     Dphls_kernels.K03_local_linear.kernel Dphls_kernels.K03_local_linear.default
     (dna_workloads pairs) ~decode:dna_decode
 
-let semi_global_batch ?band ?datapath ?overlap ?metrics ?tracer
+let semi_global_batch ?band ?overlap ?metrics ?tracer
     ?(engine = Golden) pairs =
-  run_kernel_batch ?band ?datapath ?overlap ?metrics ?tracer ~engine
+  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
     Dphls_kernels.K07_semi_global.kernel Dphls_kernels.K07_semi_global.default
     (dna_workloads pairs) ~decode:dna_decode
 
-let protein_local_batch ?band ?datapath ?overlap ?metrics ?tracer
+let protein_local_batch ?band ?overlap ?metrics ?tracer
     ?(engine = Golden) pairs =
-  run_kernel_batch ?band ?datapath ?overlap ?metrics ?tracer ~engine
+  run_kernel_batch ?band ?overlap ?metrics ?tracer ~engine
     Dphls_kernels.K15_protein_local.kernel
     Dphls_kernels.K15_protein_local.default
     (Array.map

@@ -11,24 +11,24 @@ let kind_of_string = function
   | "protein-local" -> Protein_local
   | s -> invalid_arg (Printf.sprintf "Batch.kind_of_string: %S" s)
 
-let align_one ?band ?datapath ?engine kind ~query ~reference =
+let align_one ?band ?engine kind ~query ~reference =
   match kind with
-  | Global -> Align.global ?band ?datapath ?engine ~query ~reference ()
-  | Global_affine -> Align.global_affine ?band ?datapath ?engine ~query ~reference ()
-  | Local -> Align.local ?band ?datapath ?engine ~query ~reference ()
-  | Semi_global -> Align.semi_global ?band ?datapath ?engine ~query ~reference ()
-  | Protein_local -> Align.protein_local ?band ?datapath ?engine ~query ~reference ()
+  | Global -> Align.global ?band ?engine ~query ~reference ()
+  | Global_affine -> Align.global_affine ?band ?engine ~query ~reference ()
+  | Local -> Align.local ?band ?engine ~query ~reference ()
+  | Semi_global -> Align.semi_global ?band ?engine ~query ~reference ()
+  | Protein_local -> Align.protein_local ?band ?engine ~query ~reference ()
 
-let align_slice ?band ?datapath ?engine ?overlap kind pairs =
+let align_slice ?band ?engine ?overlap kind pairs =
   match kind with
-  | Global -> Align.global_batch ?band ?datapath ?engine ?overlap pairs
+  | Global -> Align.global_batch ?band ?engine ?overlap pairs
   | Global_affine ->
-    Align.global_affine_batch ?band ?datapath ?engine ?overlap pairs
-  | Local -> Align.local_batch ?band ?datapath ?engine ?overlap pairs
+    Align.global_affine_batch ?band ?engine ?overlap pairs
+  | Local -> Align.local_batch ?band ?engine ?overlap pairs
   | Semi_global ->
-    Align.semi_global_batch ?band ?datapath ?engine ?overlap pairs
+    Align.semi_global_batch ?band ?engine ?overlap pairs
   | Protein_local ->
-    Align.protein_local_batch ?band ?datapath ?engine ?overlap pairs
+    Align.protein_local_batch ?band ?engine ?overlap pairs
 
 let sum_batch_stats acc = function
   | None -> acc
@@ -57,14 +57,14 @@ let zero_batch_stats =
    (Engine.run_batch) — the N_B-style block parallelism the paper's host
    model assumes. Results are ordered and byte-identical to the per-pair
    path; the aggregated batch stats quantify the hidden cycles. *)
-let run_in_pool ?band ?datapath ?engine ?(overlap = false) ?metrics ?tracer
+let run_in_pool ?band ?engine ?(overlap = false) ?metrics ?tracer
     ~kind pool pairs =
   if not overlap then
     let results, stats =
       Pool.run ?metrics ?tracer pool
         (fun i ->
           let query, reference = pairs.(i) in
-          align_one ?band ?datapath ?engine kind ~query ~reference)
+          align_one ?band ?engine kind ~query ~reference)
         (Array.length pairs)
     in
     (results, stats, zero_batch_stats)
@@ -75,7 +75,7 @@ let run_in_pool ?band ?datapath ?engine ?(overlap = false) ?metrics ?tracer
       Pool.run ?metrics ?tracer pool ~chunk:1
         (fun s ->
           let lo = s * n / n_slices and hi = (s + 1) * n / n_slices in
-          align_slice ?band ?datapath ?engine ~overlap:true kind
+          align_slice ?band ?engine ~overlap:true kind
             (Array.sub pairs lo (hi - lo)))
         n_slices
     in
@@ -87,31 +87,31 @@ let run_in_pool ?band ?datapath ?engine ?(overlap = false) ?metrics ?tracer
     (results, stats, batch)
   end
 
-let align_all_report ?band ?datapath ?engine ?overlap ?metrics ?tracer
+let align_all_report ?band ?engine ?overlap ?metrics ?tracer
     ?(kind = Global) ?workers pairs =
   let results, stats, _ =
     Pool.with_pool ?workers (fun pool ->
-        run_in_pool ?band ?datapath ?engine ?overlap ?metrics ?tracer ~kind
+        run_in_pool ?band ?engine ?overlap ?metrics ?tracer ~kind
           pool pairs)
   in
   (results, stats)
 
-let align_all_overlap_report ?band ?datapath ?engine ?metrics ?tracer
+let align_all_overlap_report ?band ?engine ?metrics ?tracer
     ?(kind = Global) ?workers pairs =
   Pool.with_pool ?workers (fun pool ->
-      run_in_pool ?band ?datapath ?engine ~overlap:true ?metrics ?tracer ~kind
+      run_in_pool ?band ?engine ~overlap:true ?metrics ?tracer ~kind
         pool pairs)
 
-let align_all ?band ?datapath ?engine ?overlap ?kind ?workers pairs =
-  fst (align_all_report ?band ?datapath ?engine ?overlap ?kind ?workers pairs)
+let align_all ?band ?engine ?overlap ?kind ?workers pairs =
+  fst (align_all_report ?band ?engine ?overlap ?kind ?workers pairs)
 
-let iter ?band ?datapath ?engine ?overlap ?(kind = Global) ?workers
+let iter ?band ?engine ?overlap ?(kind = Global) ?workers
     ?(chunk = 256) ~f seq =
   if chunk < 1 then invalid_arg "Batch.iter: chunk < 1";
   Pool.with_pool ?workers (fun pool ->
       let emit base pairs =
         let results, _, _ =
-          run_in_pool ?band ?datapath ?engine ?overlap ~kind pool pairs
+          run_in_pool ?band ?engine ?overlap ~kind pool pairs
         in
         Array.iteri
           (fun i a ->
@@ -138,7 +138,7 @@ let iter ?band ?datapath ?engine ?overlap ?(kind = Global) ?workers
       in
       go 0 seq)
 
-let iter_fasta_file ?band ?datapath ?engine ?overlap ?(kind = Global) ?workers
+let iter_fasta_file ?band ?engine ?overlap ?(kind = Global) ?workers
     ?(chunk = 256) ~path ~f () =
   if chunk < 1 then invalid_arg "Batch.iter_fasta_file: chunk < 1";
   Pool.with_pool ?workers (fun pool ->
@@ -150,7 +150,7 @@ let iter_fasta_file ?band ?datapath ?engine ?overlap ?(kind = Global) ?workers
             records
         in
         let results, _, _ =
-          run_in_pool ?band ?datapath ?engine ?overlap ~kind pool pairs
+          run_in_pool ?band ?engine ?overlap ~kind pool pairs
         in
         Array.iteri
           (fun i a ->
@@ -182,10 +182,10 @@ let iter_fasta_file ?band ?datapath ?engine ?overlap ?(kind = Global) ?workers
       | None -> ());
       if buffered <> [] then emit base (Array.of_list (List.rev buffered)))
 
-let scaling ?band ?datapath ?engine ?overlap ?kind ~workers pairs =
+let scaling ?band ?engine ?overlap ?kind ~workers pairs =
   let report w =
     snd
-      (align_all_report ?band ?datapath ?engine ?overlap ?kind ~workers:w pairs)
+      (align_all_report ?band ?engine ?overlap ?kind ~workers:w pairs)
   in
   let baseline = (report 1).Pool.report in
   Throughput.scaling ~baseline

@@ -2,8 +2,8 @@
    Reference are thin ports of the existing engines (bit-identical by
    construction: every call forwards verbatim). Bitpar adapts a kernel
    onto the Myers core: the Fastpath pass proves the recurrence shape on
-   the kernel's catalog datapath, then the live cost constants are read
-   off the kernel's own PE closure and the init borders are checked
+   the kernel's own IR datapath, then the live cost constants are read
+   off that datapath's interpreter and the init borders are checked
    against the global ramp, so a kernel either routes with exactly its
    own scoring or is refused with the disqualifying property named. *)
 
@@ -80,8 +80,8 @@ module Bitpar : sig
 
   val mapping_for :
     'p Kernel.t -> 'p -> (Dphls_bitpar.Engine.mapping, string) result
-  (** Shape proof (Fastpath on the kernel's catalog datapath) plus the
-      live cost constants probed from the kernel's own PE. Does not
+  (** Shape proof (Fastpath on the kernel's IR datapath at [p]) plus
+      the live cost constants probed from that datapath. Does not
       check banding or borders — see {!supports}. *)
 
   val supports :
@@ -104,19 +104,20 @@ end = struct
       cycle_model = false;
     }
 
-  (* Live cost constants, read off the kernel's own PE closure: pin two
-     of the three moves at an adverse-but-finite score so the remaining
+  (* Live cost constants, read off the datapath's interpreter (four
+     calls, no compilation: select runs per request): pin two of the
+     three moves at an adverse-but-finite score so the remaining
      candidate wins, and its output is that move's cost applied to 0.
      Sound only after the Fastpath shape proof (per-character costs, one
      layer, no positional terms), which is checked first. *)
-  let probe (type p) (k : p Kernel.t) (p : p) =
+  let probe objective (pe : Pe.f) =
     let far = 100_000 in
-    let far = match k.Kernel.objective with
+    let far = match objective with
       | Score.Maximize -> -far
       | Score.Minimize -> far
     in
     let eval ~diag ~up ~left ~qc ~rc =
-      (k.Kernel.pe p
+      (pe
          {
            Pe.up = [| up |];
            diag = [| diag |];
@@ -132,7 +133,7 @@ end = struct
     let s_ne = eval ~diag:0 ~up:far ~left:far ~qc:0 ~rc:1 in
     let g_up = eval ~diag:far ~up:0 ~left:far ~qc:0 ~rc:1 in
     let g_left = eval ~diag:far ~up:far ~left:0 ~qc:0 ~rc:1 in
-    match k.Kernel.objective with
+    match objective with
     | Score.Minimize ->
       if s_eq <> 0 then Error "match cost is not 0"
       else if not (s_ne > 0 && s_ne = g_up && g_up = g_left) then
@@ -153,12 +154,13 @@ end = struct
       match k.Kernel.traceback p with
       | Some _ -> Error "kernel requires a traceback path"
       | None -> (
-        match Dphls_kernels.Datapaths.cell_for k.Kernel.id with
-        | exception Not_found -> Error "kernel has no catalog datapath"
-        | cell, bindings -> (
+        match Kernel.datapath k p with
+        | None -> Error "kernel has no IR datapath"
+        | Some (cell, bindings) -> (
           match Dphls_analysis.Fastpath.classify cell bindings with
           | Dphls_analysis.Fastpath.Ineligible { property } -> Error property
-          | Dphls_analysis.Fastpath.Eligible _ -> probe k p))
+          | Dphls_analysis.Fastpath.Eligible _ ->
+            probe k.Kernel.objective (Datapath.eval cell bindings)))
 
   let indel_of = function
     | BEngine.Unit_cost { cost } -> cost

@@ -6,7 +6,7 @@
 
     Auto dispatch routes a request to the bit-parallel Myers engine
     exactly when the whole eligibility chain holds — the
-    {!Dphls_analysis.Fastpath} shape proof on the kernel's catalog
+    {!Dphls_analysis.Fastpath} shape proof on the kernel's IR
     datapath, the live-parameter cost probe, the global init-border
     ramp, an unbanded or fixed band, and no traceback — and otherwise
     falls back to the systolic engine. Either way the decision is

@@ -1,31 +1,4 @@
-open Dphls_core
 module Score = Dphls_util.Score
-
-let pe ~local ~sub ~gap_open ~gap_extend (i : Pe.input) =
-  let open_cost = Score.add gap_open gap_extend in
-  let d, d_ext =
-    Kdefs.best2 Score.Maximize
-      (Score.add i.Pe.up.(0) open_cost, 0)
-      (Score.add i.Pe.up.(1) gap_extend, 1)
-  in
-  let ins, i_ext =
-    Kdefs.best2 Score.Maximize
-      (Score.add i.Pe.left.(0) open_cost, 0)
-      (Score.add i.Pe.left.(2) gap_extend, 1)
-  in
-  let h, h_src =
-    Kdefs.best_of Score.Maximize
-      [
-        (Score.add i.Pe.diag.(0) sub, Kdefs.Affine.src_diag);
-        (d, Kdefs.Affine.src_del);
-        (ins, Kdefs.Affine.src_ins);
-      ]
-  in
-  let h, h_src = if local && h <= 0 then (0, Kdefs.Affine.src_end) else (h, h_src) in
-  {
-    Pe.scores = [| h; d; ins |];
-    tb = Kdefs.Affine.encode ~h_src ~d_ext:(d_ext = 1) ~i_ext:(i_ext = 1);
-  }
 
 let init_row_global ~gap_open ~gap_extend ~layer ~col =
   if layer = 0 then Score.add gap_open (gap_extend * (col + 1)) else Score.neg_inf

@@ -2,10 +2,11 @@
 
     Each value here is the expression-IR description of one PE datapath
     (paper §4 step 2, Listing 4): the per-layer score recurrences plus the
-    packed traceback fields. The kXX modules pair these cells with their
-    parameter bindings to build both the RTL view ([Dphls_analysis]) and
-    the compiled flat evaluator ([Dphls_core.Datapath.compile]) that the
-    engines execute.
+    packed traceback fields. Each kXX module pairs one of these cells
+    with its parameter bindings in its [Kernel.Ir] field, the kernel's
+    only statement of its recurrence: the engines compile it
+    ([Dphls_core.Datapath.compile]), the RTL emitter and the checker's
+    datapath passes read it.
 
     This module deliberately depends only on [Kdefs], [Dphls_core] and
     [Dphls_alphabet] so the kXX kernel modules can reference it without a

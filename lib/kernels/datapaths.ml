@@ -1,40 +1,10 @@
-(* Facade over the per-kernel cell/bindings pairs. The cell definitions
-   live in [Cells]; each kXX module owns its parameter bindings (the same
-   pairing its [pe_flat] compiles). This module only assembles the
-   defaults for catalog ids. *)
+(* Catalog-id view of the kernels' own IR: each kXX module declares its
+   cell and bindings once, in its [Kernel.pe] field. *)
 
-open Dphls_core.Datapath
+open Dphls_core
 
 let select_first_best = Cells.select_first_best
 
-let rec cell_for id =
-  match id with
-  | 1 -> (Cells.linear_global_cell, K01_global_linear.(bindings default))
-  | 2 -> (Cells.affine_cell ~local:false, K02_global_affine.(bindings default))
-  | 3 -> (Cells.linear_local_cell, K03_local_linear.(bindings default))
-  | 4 -> (Cells.affine_cell ~local:true, K04_local_affine.(bindings default))
-  | 5 -> (Cells.two_piece_cell, K05_global_two_piece.(bindings default))
-  | 6 -> (Cells.linear_global_cell, K06_overlap.(bindings default))
-  | 7 -> (Cells.linear_global_cell, K07_semi_global.(bindings default))
-  | 8 ->
-    let d = K08_profile.default in
-    ( Cells.profile_cell ~match_:d.K08_profile.match_ ~mismatch:d.mismatch
-        ~gap_symbol:d.gap_symbol,
-      K08_profile.bindings d )
-  | 9 -> (Cells.dtw_cell, K09_dtw.(bindings default))
-  | 10 -> (Cells.viterbi_cell, K10_viterbi.(bindings default))
-  | 11 -> (Cells.linear_global_cell, K11_banded_global_linear.(bindings default))
-  | 12 ->
-    (* score only: same datapath, no pointer store *)
-    ( { (Cells.affine_cell ~local:true) with tb_fields = [] },
-      K12_banded_local_affine.(bindings default) )
-  | 13 -> (Cells.two_piece_cell, K13_banded_global_two_piece.(bindings default))
-  | 14 -> (Cells.sdtw_cell, K14_sdtw.(bindings default))
-  | 15 -> (Cells.protein_cell, K15_protein_local.(bindings default))
-  (* the adaptive-banded variants share their fixed-band kernel's
-     datapath: banding changes wavefront sequencing, not the PE *)
-  | 16 -> cell_for 11
-  | 17 -> cell_for 12
-  | 18 -> cell_for 13
-  | 19 -> (Cells.edit_cell, K19_global_edit.(bindings default))
-  | _ -> raise Not_found
+let cell_for id =
+  let (Registry.Packed (k, p)) = (Catalog.find id).Catalog.packed in
+  match Kernel.datapath k p with Some d -> d | None -> raise Not_found

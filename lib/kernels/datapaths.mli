@@ -1,16 +1,18 @@
-(** Symbolic datapath descriptions for all catalog kernels.
+(** Symbolic datapath descriptions of the catalog kernels, by id.
 
-    Each description is the single-source-of-truth form that the RTL
-    emitter compiles; its {!Dphls_core.Datapath.eval} closure is verified
-    bit-identical to the hand-written PE closures by the test suite (the
-    reproduction's analog of C-simulation vs RTL co-simulation), and its
-    operator counts cross-check the kernels' declared resource traits. *)
+    Each is the kernel's own [Kernel.Ir] field at its default
+    parameters — the single source the engines compile, the RTL emitter
+    lowers and the checker analyses. The test suite checks its
+    interpreter ({!Dphls_core.Datapath.eval}) against the compiled
+    program, and its operator counts against the kernel's declared
+    resource traits. *)
 
 val cell_for : int -> Dphls_core.Datapath.cell * Dphls_core.Datapath.bindings
 (** Datapath and default-parameter bindings for a catalog kernel id
-    (Table 1 ids 1-15, the adaptive-band variants 16-18, which share
-    the datapaths of 11-13, and the unit-cost edit-distance kernel 19).
-    Raises [Not_found] for unknown ids. *)
+    ({!Catalog.ids}: Table 1 ids 1-15, the adaptive-band variants 16-18,
+    whose PEs are those of 11-13, and the unit-cost edit-distance kernel
+    19): {!Dphls_core.Kernel.datapath} of the catalog entry. Raises
+    [Not_found] for unknown ids. *)
 
 val select_first_best :
   objective:Dphls_util.Score.objective ->

@@ -5,10 +5,6 @@ type params = { match_ : int; mismatch : int; gap_open : int; gap_extend : int }
 
 let default = { match_ = 2; mismatch = -2; gap_open = -3; gap_extend = -1 }
 
-let pe p (i : Pe.input) =
-  let sub = Kdefs.dna_sub ~match_:p.match_ ~mismatch:p.mismatch i.Pe.qry i.Pe.rf in
-  Affine_rec.pe ~local:false ~sub ~gap_open:p.gap_open ~gap_extend:p.gap_extend i
-
 let bindings p =
   {
     Datapath.params =
@@ -39,12 +35,7 @@ let kernel =
         Affine_rec.init_row_global ~gap_open:p.gap_open ~gap_extend:p.gap_extend
           ~layer ~col:row);
     origin = (fun _ ~layer -> Affine_rec.origin_global ~layer);
-    pe;
-    pe_flat =
-      Some
-        (fun p ->
-          Datapath.flat
-            (Datapath.compile (Cells.affine_cell ~local:false) (bindings p)));
+    pe = Ir (fun p -> (Cells.affine_cell ~local:false, bindings p));
     score_site = Traceback.Bottom_right;
     traceback =
       (fun _ -> Some { Traceback.fsm = Kdefs.Affine.fsm; stop = Traceback.At_origin });

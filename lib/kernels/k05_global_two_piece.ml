@@ -12,10 +12,6 @@ let default =
     gaps = { Two_piece_rec.open1 = -4; extend1 = -2; open2 = -24; extend2 = -1 };
   }
 
-let pe p (i : Pe.input) =
-  let sub = Kdefs.dna_sub ~match_:p.match_ ~mismatch:p.mismatch i.Pe.qry i.Pe.rf in
-  Two_piece_rec.pe ~sub p.gaps i
-
 let bindings p =
   let g = p.gaps in
   {
@@ -45,11 +41,7 @@ let kernel =
     init_col =
       (fun p ~qry_len:_ ~layer ~row -> Two_piece_rec.init_border p.gaps ~layer ~index:row);
     origin = (fun _ ~layer -> Two_piece_rec.origin ~layer);
-    pe;
-    pe_flat =
-      Some
-        (fun p ->
-          Datapath.flat (Datapath.compile Cells.two_piece_cell (bindings p)));
+    pe = Ir (fun p -> (Cells.two_piece_cell, bindings p));
     score_site = Traceback.Bottom_right;
     traceback =
       (fun _ -> Some { Traceback.fsm = Kdefs.Two_piece.fsm; stop = Traceback.At_origin });

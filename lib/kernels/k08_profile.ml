@@ -12,32 +12,6 @@ type params = {
 
 let default = { match_ = 2; mismatch = -2; gap_symbol = -2; gap_column = -2; depth = 4 }
 
-let sigma p =
-  Profile.sum_of_pairs_matrix ~match_:p.match_ ~mismatch:p.mismatch ~gap:p.gap_symbol
-
-(* Cost of aligning a profile column against an all-gap column of the
-   other profile: every residue pairs with a gap. *)
-let gap_cost p col other_depth =
-  let residues = Profile.depth col - col.(Profile.gap_index) in
-  p.gap_column * residues * other_depth
-
-let pe p =
-  let sigma = sigma p in
-  fun (i : Pe.input) ->
-    let sub = Profile.sum_of_pairs_score sigma i.Pe.qry i.Pe.rf in
-    let qry_depth = Profile.depth i.Pe.qry and ref_depth = Profile.depth i.Pe.rf in
-    let up_gap = gap_cost p i.Pe.qry ref_depth in
-    let left_gap = gap_cost p i.Pe.rf qry_depth in
-    let best, ptr =
-      Kdefs.best_of Score.Maximize
-        [
-          (Score.add i.Pe.diag.(0) sub, Kdefs.Linear.ptr_diag);
-          (Score.add i.Pe.up.(0) up_gap, Kdefs.Linear.ptr_up);
-          (Score.add i.Pe.left.(0) left_gap, Kdefs.Linear.ptr_left);
-        ]
-    in
-    { Pe.scores = [| best |]; tb = ptr }
-
 (* Border gap costs assume full-depth columns on both sides; the workload
    generator produces constant-depth profiles, so this matches the
    recurrence exactly on the border. *)
@@ -58,15 +32,12 @@ let kernel =
     init_row = (fun p ~ref_len:_ ~layer:_ ~col -> border_gap p ~index:col);
     init_col = (fun p ~qry_len:_ ~layer:_ ~row -> border_gap p ~index:row);
     origin = (fun _ ~layer:_ -> 0);
-    pe;
-    pe_flat =
-      Some
+    pe =
+      Ir
         (fun p ->
-          Datapath.flat
-            (Datapath.compile
-               (Cells.profile_cell ~match_:p.match_ ~mismatch:p.mismatch
-                  ~gap_symbol:p.gap_symbol)
-               (bindings p)));
+          ( Cells.profile_cell ~match_:p.match_ ~mismatch:p.mismatch
+              ~gap_symbol:p.gap_symbol,
+            bindings p ));
     score_site = Traceback.Bottom_right;
     traceback =
       (fun _ -> Some { Traceback.fsm = Kdefs.Linear.fsm; stop = Traceback.At_origin });

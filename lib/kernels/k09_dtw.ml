@@ -6,18 +6,6 @@ type params = unit
 
 let default = ()
 
-let pe () (i : Pe.input) =
-  let cost = Signal.manhattan_complex i.Pe.qry i.Pe.rf in
-  let best, ptr =
-    Kdefs.best_of Score.Minimize
-      [
-        (i.Pe.diag.(0), Kdefs.Linear.ptr_diag);
-        (i.Pe.up.(0), Kdefs.Linear.ptr_up);
-        (i.Pe.left.(0), Kdefs.Linear.ptr_left);
-      ]
-  in
-  { Pe.scores = [| Score.add best cost |]; tb = ptr }
-
 let bindings () = { Datapath.params = []; tables = [] }
 
 let kernel =
@@ -32,10 +20,7 @@ let kernel =
     init_row = (fun () ~ref_len:_ ~layer:_ ~col:_ -> Score.pos_inf);
     init_col = (fun () ~qry_len:_ ~layer:_ ~row:_ -> Score.pos_inf);
     origin = (fun () ~layer:_ -> 0);
-    pe;
-    pe_flat =
-      Some
-        (fun p -> Datapath.flat (Datapath.compile Cells.dtw_cell (bindings p)));
+    pe = Ir (fun p -> (Cells.dtw_cell, bindings p));
     score_site = Traceback.Bottom_right;
     traceback =
       (fun () -> Some { Traceback.fsm = Kdefs.Linear.fsm; stop = Traceback.At_origin });

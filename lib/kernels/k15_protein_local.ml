@@ -6,19 +6,6 @@ type params = { matrix : int array array; gap : int }
 
 let default = { matrix = Protein.blosum62; gap = -4 }
 
-let pe p (i : Pe.input) =
-  let sub = p.matrix.(i.Pe.qry.(0)).(i.Pe.rf.(0)) in
-  let best, ptr =
-    Kdefs.best_of Score.Maximize
-      [
-        (Score.add i.Pe.diag.(0) sub, Kdefs.Linear.ptr_diag);
-        (Score.add i.Pe.up.(0) p.gap, Kdefs.Linear.ptr_up);
-        (Score.add i.Pe.left.(0) p.gap, Kdefs.Linear.ptr_left);
-      ]
-  in
-  if best <= 0 then { Pe.scores = [| 0 |]; tb = Kdefs.Linear.ptr_end }
-  else { Pe.scores = [| best |]; tb = ptr }
-
 let bindings p =
   {
     Datapath.params = [ ("gap", p.gap) ];
@@ -37,11 +24,7 @@ let kernel =
     init_row = (fun _ ~ref_len:_ ~layer:_ ~col:_ -> 0);
     init_col = (fun _ ~qry_len:_ ~layer:_ ~row:_ -> 0);
     origin = (fun _ ~layer:_ -> 0);
-    pe;
-    pe_flat =
-      Some
-        (fun p ->
-          Datapath.flat (Datapath.compile Cells.protein_cell (bindings p)));
+    pe = Ir (fun p -> (Cells.protein_cell, bindings p));
     score_site = Traceback.Global_best;
     traceback =
       (fun _ -> Some { Traceback.fsm = Kdefs.Linear.fsm; stop = Traceback.On_stop_move });

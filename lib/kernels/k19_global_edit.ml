@@ -5,13 +5,6 @@ type params = { sub : int; indel : int }
 
 let default = { sub = 1; indel = 1 }
 
-let pe p (i : Pe.input) =
-  let s = if i.Pe.qry.(0) = i.Pe.rf.(0) then 0 else p.sub in
-  let d = Score.add i.Pe.diag.(0) s in
-  let u = Score.add i.Pe.up.(0) p.indel in
-  let l = Score.add i.Pe.left.(0) p.indel in
-  { Pe.scores = [| Score.min2 (Score.min2 d u) l |]; tb = 0 }
-
 let bindings p =
   { Datapath.params = [ ("sub", p.sub); ("indel", p.indel) ]; tables = [] }
 
@@ -27,9 +20,7 @@ let kernel =
     init_row = (fun p ~ref_len:_ ~layer:_ ~col -> p.indel * (col + 1));
     init_col = (fun p ~qry_len:_ ~layer:_ ~row -> p.indel * (row + 1));
     origin = (fun _ ~layer:_ -> 0);
-    pe;
-    pe_flat =
-      Some (fun p -> Datapath.flat (Datapath.compile Cells.edit_cell (bindings p)));
+    pe = Ir (fun p -> (Cells.edit_cell, bindings p));
     score_site = Traceback.Bottom_right;
     traceback = (fun _ -> None);
     banding = None;

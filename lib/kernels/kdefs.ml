@@ -99,6 +99,4 @@ let best_of objective = function
   | [] -> invalid_arg "Kdefs.best_of: empty"
   | first :: rest -> List.fold_left (best2 objective) first rest
 
-let dna_sub ~match_ ~mismatch q r = if q.(0) = r.(0) then match_ else mismatch
-
 let dna_char_bits = Dphls_alphabet.Dna.bits

@@ -59,7 +59,4 @@ val best_of : Dphls_util.Score.objective -> (Types.score * int) list
   -> Types.score * int
 (** Fold of {!best2} over a non-empty preference-ordered candidate list. *)
 
-val dna_sub : match_:int -> mismatch:int -> Types.ch -> Types.ch -> int
-(** Match/mismatch substitution on 1-element characters. *)
-
 val dna_char_bits : int

@@ -1,5 +1,5 @@
-(** Shared two-piece affine recurrence (Minimap2's gap model) for kernels
-    #5 and #13: two concurrent affine gap regimes per direction, five
+(** Shared two-piece affine gap model (Minimap2's) for kernels #5 and
+    #13, whose recurrence is [Cells.two_piece_cell]: two concurrent affine gap regimes per direction, five
     scoring layers (H=0, D1=1, I1=2, D2=3, I2=4), and the score of a gap
     is the better of the two regimes — short gaps favour the steep piece,
     long gaps the shallow one. *)
@@ -10,8 +10,6 @@ type gaps = {
   open2 : int;
   extend2 : int;  (** shallow piece: expensive to open, cheap to extend *)
 }
-
-val pe : sub:int -> gaps -> Dphls_core.Pe.input -> Dphls_core.Pe.output
 
 val init_border : gaps -> layer:int -> index:int -> Dphls_core.Types.score
 (** Global border value at distance [index]: H is the better of the two

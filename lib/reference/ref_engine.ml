@@ -22,7 +22,7 @@ let fill_adaptive kernel params (w : Workload.t) ~band ~band_pe ~qry_len ~ref_le
   let in_band ~row ~col = Banding.Tracker.member tracker ~row ~col in
   let read ~row ~col ~layer = scores.(layer).(row).(col) in
   let grid = Grid.create ~in_band kernel params ~qry_len ~ref_len ~read in
-  let pe_flat = Kernel.flat_pe kernel params in
+  let flat_pe = Kernel.flat_pe kernel params in
   let n_layers = kernel.Kernel.n_layers in
   let buf = Pe.create_buffers ~n_layers in
   let out = buf.Pe.b_scores in
@@ -38,7 +38,7 @@ let fill_adaptive kernel params (w : Workload.t) ~band ~band_pe ~qry_len ~ref_le
         then begin
           Grid.fill_input grid buf ~query:w.query ~reference:w.reference ~row
             ~col;
-          pe_flat buf;
+          flat_pe buf;
           for layer = 0 to n_layers - 1 do
             scores.(layer).(row).(col) <- out.(layer)
           done;
@@ -80,7 +80,7 @@ let fill ?band_pe kernel params (w : Workload.t) =
     let in_band ~row ~col = Banding.in_band banding ~row ~col in
     let read ~row ~col ~layer = scores.(layer).(row).(col) in
     let grid = Grid.create kernel params ~qry_len ~ref_len ~read in
-    let pe_flat = Kernel.flat_pe kernel params in
+    let flat_pe = Kernel.flat_pe kernel params in
     let n_layers = kernel.Kernel.n_layers in
     let buf = Pe.create_buffers ~n_layers in
     let out = buf.Pe.b_scores in
@@ -90,7 +90,7 @@ let fill ?band_pe kernel params (w : Workload.t) =
         if in_band ~row ~col then begin
           Grid.fill_input grid buf ~query:w.query ~reference:w.reference ~row
             ~col;
-          pe_flat buf;
+          flat_pe buf;
           for layer = 0 to n_layers - 1 do
             scores.(layer).(row).(col) <- out.(layer)
           done;

@@ -99,7 +99,7 @@ type 'p task = {
      stale entries are never consumed. *)
   preserved : Types.score array array;
   preserved_tag : int array;
-  pe_flat : Pe.flat;
+  flat_pe : Pe.flat;
   buf : Pe.buffers;
   trackers : Traceback.Best_cell.t array;
   (* Wavefront registers as preallocated score planes indexed [pe][layer]:
@@ -200,7 +200,7 @@ let fetch config kernel params (w : Workload.t) =
     border_left = Array.make n_layers worst;
     preserved = Array.init ref_len (fun _ -> Array.make n_layers worst);
     preserved_tag = Array.make ref_len (-1);
-    pe_flat = Kernel.flat_pe kernel params;
+    flat_pe = Kernel.flat_pe kernel params;
     buf = Pe.create_buffers ~n_layers;
     trackers = Array.init n_pe (fun _ -> Traceback.Best_cell.create objective);
     w1 = plane ();
@@ -256,7 +256,7 @@ let compute_stage (t : _ task) ~trace =
   and decide = t.decide
   and in_band = t.in_band
   and buf = t.buf
-  and pe_flat = t.pe_flat
+  and flat_pe = t.flat_pe
   and w = t.w
   and worst_layers = t.worst_layers
   and pe0_up = t.pe0_up
@@ -324,7 +324,7 @@ let compute_stage (t : _ task) ~trace =
             buf.Pe.b_row <- row;
             buf.Pe.b_col <- col;
             buf.Pe.b_scores <- out;
-            pe_flat buf;
+            flat_pe buf;
             vln.(pe) <- true;
             if pe = 0 then begin
               (* remember the up-input PE 0 just consumed: it is next

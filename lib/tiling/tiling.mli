@@ -48,10 +48,10 @@ val align :
     Default [None] keeps the kernel's own banding.
 
     The PE datapath choice also rides on [run]: both engines execute the
-    kernel's compiled flat datapath when it carries one ([pe_flat]),
-    so tiled alignments get the allocation-free hot path per tile; pass
-    a kernel through {!Dphls_core.Kernel.boxed} inside [run] to force
-    the boxed interpreter closures instead.
+    kernel's compiled flat datapath ({!Dphls_core.Kernel.flat_pe}), so
+    tiled alignments get the allocation-free hot path per tile; pass a
+    kernel through {!Dphls_core.Kernel.boxed} inside [run] to force the
+    boxed interpreter instead.
 
     [metrics] (default: disabled) receives the [tiles] counter once at
     the end; per-cell counters come from whatever engine [run] invokes

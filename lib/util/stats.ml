@@ -39,8 +39,11 @@ let percentile_exact xs p =
   (* nearest-rank: the smallest observed value with at least p% of the
      samples at or below it. Never interpolates, so the result is always
      a sample that actually occurred — what an SLO verdict must compare
-     against. ceil(p/100 * n) computed in exact integer arithmetic keeps
-     boundary ranks (p = 50 on even n, p = 100) free of float rounding. *)
+     against. The rank ceil(p/100 * n) is computed as p * n / 100 in
+     floats, product first: for integral p the product is exact and the
+     one rounded division cannot cross an integer, so boundary ranks
+     (p = 50 on even n, p = 100) come out exact; dividing first would
+     not (0.28 *. 25. is 7.000000000000001). *)
   let rank =
     let scaled = p *. float_of_int n /. 100.0 in
     let c = int_of_float (ceil scaled) in

@@ -20,7 +20,8 @@ val run :
   Stream.t ->
   (int, Stream.divergence) result
 (** Replay every cell record through the kernel's PE — the compiled
-    [pe_flat] datapath (default) or the boxed interpreter closure — and
+    datapath ({!Dphls_core.Kernel.flat_pe}, default) or the boxed
+    interpreter ({!Dphls_core.Kernel.boxed}) — and
     return the number of cells replayed, or the first divergence.
     Traceback pointers are only compared when the kernel has traceback.
     Raises [Invalid_argument] if the vector's layer count disagrees with

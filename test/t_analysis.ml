@@ -189,10 +189,10 @@ let test_pointer_width () =
     {
       K01.kernel with
       Kernel.pe =
-        (fun p ->
-          let f = K01.kernel.Kernel.pe p in
-          fun input -> { (f input) with Pe.tb = 5 });
-      pe_flat = None;
+        Closure
+          (fun p ->
+            let f = Kernel.pe K01.kernel p in
+            fun input -> { (f input) with Pe.tb = 5 });
     }
   in
   let r = check_kernel k K01.default in
@@ -316,9 +316,11 @@ let has_in fs ~check ~severity =
 
 let edit_bindings = K19.bindings K19.default
 
+(* [k] with its IR replaced by [cell]/[bindings]: the checker reads the
+   datapath from the kernel itself. *)
 let check_with_datapath ?host k p cell bindings =
-  Check.run ~datapath:(cell, bindings) ?host ~max_len:128 ~chars:dna_chars
-    (Registry.Packed (k, p))
+  let k = { k with Kernel.pe = Kernel.Ir (fun _ -> (cell, bindings)) } in
+  Check.run ?host ~max_len:128 ~chars:dna_chars (Registry.Packed (k, p))
 
 (* Seeded-broken spec 1: a read outside the {NW, N, W} wavefront stencil
    (two rows up), expressible via [Nbr] but unservable by the
@@ -593,11 +595,7 @@ let test_check_baseline_fresh () =
            let rng = Dphls_util.Rng.create 7 in
            let sample = e.gen rng ~len:(min 64 e.max_len) in
            let chars = Check.chars_of_workload sample in
-           let datapath =
-             Datapaths.cell_for (Registry.id e.packed)
-           in
-           Check.run ~n_pe:e.optimal.n_pe ~datapath ~max_len:e.max_len ~chars
-             e.packed)
+           Check.run ~n_pe:e.optimal.n_pe ~max_len:e.max_len ~chars e.packed)
          Dphls_kernels.Catalog.all)
     ^ "\n"
   in

@@ -1,17 +1,12 @@
-(* Symbolic datapath tests: every kernel's DSL description evaluates
-   bit-identically to its hand-written PE closure (the reproduction's
-   C-sim vs RTL co-sim check), validates structurally, and its operator
-   counts agree with the declared resource traits to within 2x. *)
+(* Symbolic datapath tests: every kernel's IR cell evaluates
+   bit-identically under the interpreter's boxed closure and the
+   compiled program the engines run (the reproduction's C-sim vs RTL
+   co-sim check), validates structurally, and its operator counts agree
+   with the declared resource traits to within 2x. *)
 open Dphls_core
 module Datapath = Dphls_core.Datapath
 
 let qtest = QCheck_alcotest.to_alcotest
-
-let substitute_pe packed dsl_pe =
-  let (Registry.Packed (k, p)) = packed in
-  (* pe_flat must go too, or the engines would keep the compiled datapath
-     and never run the substituted closure *)
-  Registry.Packed ({ k with Kernel.pe = (fun _ -> dsl_pe); pe_flat = None }, p)
 
 let equivalence_prop id =
   QCheck.Test.make
@@ -20,15 +15,12 @@ let equivalence_prop id =
     QCheck.(int_range 4 48)
     (fun len ->
       let e = Dphls_kernels.Catalog.find id in
-      let cell, bindings = Dphls_kernels.Datapaths.cell_for id in
-      let dsl_pe = Datapath.eval cell bindings in
       let rng = Dphls_util.Rng.create ((id * 71) + len) in
       let w = e.Dphls_kernels.Catalog.gen rng ~len in
       let (Registry.Packed (k, p)) = e.packed in
-      let closure_result = Dphls_reference.Ref_engine.run k p w in
-      let (Registry.Packed (k', p')) = substitute_pe e.packed dsl_pe in
-      let dsl_result = Dphls_reference.Ref_engine.run k' p' w in
-      Result.equal_alignment closure_result dsl_result)
+      let compiled = Dphls_reference.Ref_engine.run k p w in
+      let interpreted = Dphls_reference.Ref_engine.run (Kernel.boxed k) p w in
+      Result.equal_alignment compiled interpreted)
 
 let equivalence_tests =
   List.map (fun id -> qtest (equivalence_prop id)) Dphls_kernels.Catalog.ids

@@ -73,14 +73,25 @@ let prop_myers_unbanded =
       scalar_edit ~query ~reference ()
       = Some (Myers.distance ~query ~reference))
 
+(* Band widths on and around word boundaries (31 cells per half-word,
+   62 per OCaml int word, and their multiples). *)
+let word_boundary_widths = [| 31; 32; 61; 62; 63; 64; 65; 93; 100; 124; 125; 126 |]
+
 let prop_myers_banded =
   QCheck.Test.make ~name:"myers: fixed band == scalar banded oracle" ~count:400
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Dphls_util.Rng.create seed in
-      (* bands narrower than one word, lengths straddling words *)
-      let width = 1 + Dphls_util.Rng.int rng 12 in
-      let lq = 1 + Dphls_util.Rng.int rng 140 in
+      (* half the cases: bands narrower than one word, lengths straddling
+         words; the other half: word-boundary bands, lengths up to 300 *)
+      let width, max_len =
+        if Dphls_util.Rng.int rng 2 = 0 then (1 + Dphls_util.Rng.int rng 12, 140)
+        else
+          ( word_boundary_widths.(Dphls_util.Rng.int rng
+                                    (Array.length word_boundary_widths)),
+            300 )
+      in
+      let lq = 1 + Dphls_util.Rng.int rng max_len in
       let dl = Dphls_util.Rng.int rng (2 * width + 4) - (width + 2) in
       let lr = max 1 (lq + dl) in
       let query = random_ints rng ~len:lq ~alpha:4
@@ -260,6 +271,41 @@ let test_auto_dispatch_catalog () =
   Alcotest.(check int) "every other kernel counted as a fallback" (total - 1)
     (Dphls_obs.Metrics.get metrics Dphls_obs.Counter.Engine_fastpath_fallbacks)
 
+(* A user kernel (id 0, outside the catalog) built from the edit cell
+   and #19's bindings: bit-parallel routing and the checker's datapath
+   passes read the kernel's own IR, not a table keyed by catalog id. *)
+let test_single_source_user_kernel () =
+  let module K19 = Dphls_kernels.K19_global_edit in
+  let module Report = Dphls_analysis.Report in
+  let k =
+    {
+      K19.kernel with
+      Kernel.id = 0;
+      name = "user-edit";
+      pe = Kernel.Ir (fun p -> (Dphls_kernels.Cells.edit_cell, K19.bindings p));
+    }
+  and p = K19.default in
+  let chosen = Engines.select ~qry_len:100 ~ref_len:90 k p in
+  Alcotest.(check string) "routes to bitpar" "bitpar" (Engines.name chosen);
+  let rng = Dphls_util.Rng.create 3 in
+  let w = K19.gen rng ~len:48 in
+  let (module E : Engine_intf.S) = chosen in
+  Alcotest.(check int) "bitpar score == golden"
+    (Dphls_reference.Ref_engine.run k p w).Result.score
+    (fst (E.run cfg16 k p w)).Result.score;
+  let r =
+    Dphls_analysis.Check.run ~max_len:256
+      ~chars:(Dphls_analysis.Check.chars_of_workload w)
+      (Registry.Packed (k, p))
+  in
+  let has check =
+    List.exists (fun (f : Report.finding) -> f.Report.check = check) r.Report.findings
+  in
+  Alcotest.(check bool) "datapath passes not skipped" false (has "depend-skipped");
+  List.iter
+    (fun check -> Alcotest.(check bool) (check ^ " reported") true (has check))
+    [ "depend-stencil"; "ii-path"; "fastpath-eligible" ]
+
 (* ---- registry lookups and refusal paths ---- *)
 
 let test_registry_lookup () =
@@ -402,6 +448,8 @@ let suite =
       test_registry_port_identity;
     Alcotest.test_case "auto dispatch: catalog, one fast-path hit" `Quick
       test_auto_dispatch_catalog;
+    Alcotest.test_case "single source: IR user kernel routes and checks" `Quick
+      test_single_source_user_kernel;
     Alcotest.test_case "registry lookup and caps" `Quick test_registry_lookup;
     Alcotest.test_case "unsupported requests refused" `Quick
       test_unsupported_paths;

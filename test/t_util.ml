@@ -146,6 +146,11 @@ let test_percentile_exact_edges () =
     (Stats.percentile_exact hundred 99.0);
   Alcotest.(check (float 0.0)) "100 samples, p100 = max" 100.0
     (Stats.percentile_exact hundred 100.0);
+  (* the oracle's shrunk counterexample: rank ceil(28 * 25 / 100) = 7
+     is the last -1 *)
+  let mixed = Array.append (Array.make 7 (-1.0)) (Array.make 18 0.0) in
+  Alcotest.(check (float 0.0)) "7 x -1 and 18 x 0, p28 = 7th value" (-1.0)
+    (Stats.percentile_exact mixed 28.0);
   Alcotest.(check bool) "empty still rejected" true
     (try
        ignore (Stats.percentile_exact [||] 50.0);
@@ -154,7 +159,8 @@ let test_percentile_exact_edges () =
 
 (* Loop oracle: percentile_exact xs p must equal the smallest observed
    value v with #(samples <= v) >= ceil(p/100 * n), found by brute
-   force over the samples themselves. *)
+   force over the samples themselves. The rank is taken in integers:
+   in floats 0.28 *. 25. is 7.000000000000001, whose ceiling is 8. *)
 let test_percentile_exact_oracle =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:500 ~name:"percentile_exact = loop oracle"
@@ -165,11 +171,9 @@ let test_percentile_exact_oracle =
        (fun (ints, p) ->
          QCheck.assume (ints <> []);
          let xs = Array.of_list (List.map float_of_int ints) in
-         let p = float_of_int p in
          let n = Array.length xs in
-         let need =
-           max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n)))
-         in
+         let need = max 1 (((p * n) + 99) / 100) in
+         let p = float_of_int p in
          let le v = Array.fold_left (fun a x -> if x <= v then a + 1 else a) 0 xs in
          let oracle =
            Array.fold_left
