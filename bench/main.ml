@@ -642,7 +642,7 @@ let fastpath_bench ?(max_len = 8192) () =
    Dphls_serve.Server — the same admission/coalesce/compute path
    [dphls serve] drives, minus the file descriptors. The skew makes the
    LRU cache earn its keep (popular pairs repeat), the periodic flush
-   plays the role of the daemon's batch timeout, and two VmRSS probes
+   stands in for the daemon's flush at the end of each read round, and two VmRSS probes
    bracket the run so unbounded growth anywhere in the queue/cache
    path fails the bench. Lands in BENCH_6.json; exits non-zero if any
    request is lost, p99 misses the SLO, the cache never hits, or RSS
@@ -735,7 +735,7 @@ let serve_bench ?(total = 1_000_000) () =
   Gc.set { prior_gc with Gc.space_overhead = 60 };
   let errors = ref 0 in
   let consume =
-    List.iter (fun r ->
+    List.iter (fun (_, r) ->
         match r with
         | Proto.Ok_response _ -> ()
         | Proto.Error_response _ -> incr errors)
@@ -744,12 +744,12 @@ let serve_bench ?(total = 1_000_000) () =
   let rss_first = ref 0 in
   let t0 = Unix.gettimeofday () in
   for i = 1 to total do
-    consume (Server.submit server lines.(draw ()));
-    (* the daemon's batch-timeout stand-in: no group coalesces forever *)
+    consume (Server.submit server ~origin:0 lines.(draw ()));
+    (* the daemon's end-of-round flush: no group coalesces forever *)
     if i mod 2048 = 0 then consume (Server.flush server);
     if i = warmup then rss_first := rss_kb ()
   done;
-  consume (Server.drain server);
+  consume (Server.flush server);
   let wall_s = Unix.gettimeofday () -. t0 in
   let rss_last = rss_kb () in
   let s = Server.summary server in

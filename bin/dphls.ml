@@ -1021,7 +1021,7 @@ let experiment_cmd =
 (* ---- serve ---- *)
 
 module Serve = Dphls_serve.Server
-module Serve_proto = Dphls_serve.Proto
+module Serve_loop = Dphls_serve.Loop
 
 let serve_run socket max_conns queue_depth batch_max cache_capacity max_len
     deadline_ms n_pe workers slo_p99_ms check json trace_path =
@@ -1047,44 +1047,19 @@ let serve_run socket max_conns queue_depth batch_max cache_capacity max_len
     }
   in
   let server = Serve.create cfg in
-  let respond oc responses =
-    List.iter
-      (fun r ->
-        output_string oc (Serve_proto.response_line r);
-        output_char oc '\n')
-      responses;
-    flush oc
-  in
-  (* one client session: a response line per request line, everything
-     still queued flushed (in admission order) at EOF *)
-  let session ic oc =
-    let rec loop () =
-      match input_line ic with
-      | line ->
-        if String.trim line <> "" then respond oc (Serve.submit server line);
-        loop ()
-      | exception End_of_file -> respond oc (Serve.drain server)
-    in
-    loop ()
-  in
+  let loop = Serve_loop.create server in
   (match socket with
-  | None -> session stdin stdout
+  | None ->
+    Serve_loop.add loop ~out:Unix.stdout Unix.stdin;
+    Serve_loop.run loop
   | Some path ->
     (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let sock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind sock (Unix.ADDR_UNIX path);
     Unix.listen sock 8;
     Printf.eprintf "dphls serve: listening on %s\n%!" path;
-    let conns = ref 0 in
-    while max_conns = 0 || !conns < max_conns do
-      let fd, _ = Unix.accept sock in
-      incr conns;
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      (try session ic oc with Sys_error _ | Unix.Unix_error _ -> ());
-      close_out_noerr oc
-    done;
-    Unix.close sock;
+    Serve_loop.listen loop ~max_conns sock;
+    Serve_loop.run loop;
     (try Unix.unlink path with Unix.Unix_error _ -> ()));
   let s = Serve.summary server in
   if json then prerr_endline (Serve.summary_to_json s)
@@ -1104,8 +1079,8 @@ let serve_cmd =
       & opt (some string) None
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
-            "Listen on a Unix domain socket instead of stdin/stdout \
-             (connections are served sequentially)")
+            "Listen on a Unix domain socket instead of stdin/stdout; \
+             connections are served side by side")
   in
   let max_conns =
     Arg.(
@@ -1124,7 +1099,10 @@ let serve_cmd =
   let batch_max =
     Arg.(
       value & opt int 64
-      & info [ "batch" ] ~doc:"Coalesce up to this many requests per engine batch")
+      & info [ "batch" ]
+          ~doc:
+            "Largest engine batch: requests that arrive while the previous \
+             batch computes are coalesced, up to this many")
   in
   let cache_capacity =
     Arg.(

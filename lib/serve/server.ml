@@ -45,6 +45,7 @@ let default_config () =
 
 (* one request sitting in a coalescing queue *)
 type pending = {
+  origin : int;  (** caller's tag, returned with the response *)
   prid : string;
   w : Workload.t;
   admit_s : float;  (** [cfg.now] at admission — latency origin *)
@@ -118,6 +119,8 @@ let create cfg =
     closed = false;
   }
 
+let config t = t.cfg
+
 let record_latency t ms =
   t.lat_seen <- t.lat_seen + 1;
   if ms > t.lat_max then t.lat_max <- ms;
@@ -133,7 +136,8 @@ let end_request_span t ~tr0 =
   Tracer.add_span t.cfg.tracer ~cat:"serve" ~t0:tr0
     ~t1:(Tracer.now t.cfg.tracer) "request"
 
-let err rid code message = Proto.Error_response { rid; code; message }
+let err origin rid code message =
+  (origin, Proto.Error_response { rid; code; message })
 
 let cycles_of stats =
   Option.map
@@ -239,7 +243,8 @@ let ok_response t (pnd : pending) (v : Cache.value) ~cached ~done_s =
   t.completed <- t.completed + 1;
   record_latency t latency_ms;
   end_request_span t ~tr0:pnd.tr0;
-  Proto.Ok_response
+  ( pnd.origin,
+    Proto.Ok_response
     {
       rid = pnd.prid;
       score = v.Cache.score;
@@ -248,7 +253,7 @@ let ok_response t (pnd : pending) (v : Cache.value) ~cached ~done_s =
       engine = v.Cache.engine;
       cached;
       latency_ms;
-    }
+    } )
 
 (* flush one group completely, in admission order, [batch_max] at a
    time: expire stale requests at dequeue, batch the survivors *)
@@ -270,7 +275,7 @@ let flush_group t g =
             end_request_span t ~tr0:pnd.tr0;
             slots.(i) <-
               Some
-                (err (Some pnd.prid) Proto.Deadline_exceeded
+                (err pnd.origin (Some pnd.prid) Proto.Deadline_exceeded
                    (Printf.sprintf
                       "deadline passed %.1f ms before dequeue; not run"
                       ((now_s -. d) *. 1e3)))
@@ -301,7 +306,7 @@ let flush_group t g =
           (fun i ->
             let pnd = chunk.(i) in
             end_request_span t ~tr0:pnd.tr0;
-            slots.(i) <- Some (err (Some pnd.prid) code msg))
+            slots.(i) <- Some (err pnd.origin (Some pnd.prid) code msg))
           live_idx
     end;
     Array.iter
@@ -364,10 +369,10 @@ let cache_key t g (req : Proto.request) ~kid =
          (Proto.band_signature req.Proto.band)
          req.Proto.engine_label req.Proto.qry req.Proto.ref_seq)
 
-let admit t (req : Proto.request) ~t_admit ~tr0 =
+let admit t (req : Proto.request) ~origin ~t_admit ~tr0 =
   let reply code msg =
     end_request_span t ~tr0;
-    [ err req.Proto.rid code msg ]
+    [ err origin req.Proto.rid code msg ]
   in
   match
     match int_of_string_opt req.Proto.kernel_spec with
@@ -426,7 +431,15 @@ let admit t (req : Proto.request) ~t_admit ~tr0 =
             Metrics.incr t.cfg.metrics Counter.Serve_requests_admitted;
             Metrics.incr t.cfg.metrics Counter.Serve_cache_hits;
             let pnd =
-              { prid; w; admit_s = t_admit; tr0; deadline_s = None; ckey }
+              {
+                origin;
+                prid;
+                w;
+                admit_s = t_admit;
+                tr0;
+                deadline_s = None;
+                ckey;
+              }
             in
             [ ok_response t pnd v ~cached:true ~done_s:(t.cfg.now ()) ]
           | None ->
@@ -448,7 +461,8 @@ let admit t (req : Proto.request) ~t_admit ~tr0 =
                 | Some d -> Some (t_admit +. (d /. 1e3))
                 | None -> None
               in
-              Queue.push { prid; w; admit_s = t_admit; tr0; deadline_s; ckey }
+              Queue.push
+                { origin; prid; w; admit_s = t_admit; tr0; deadline_s; ckey }
                 g.q;
               t.admitted <- t.admitted + 1;
               Metrics.incr t.cfg.metrics Counter.Serve_requests_admitted;
@@ -456,28 +470,27 @@ let admit t (req : Proto.request) ~t_admit ~tr0 =
               else []
             end)))
 
-let submit t line =
+let submit t ~origin line =
   if t.closed then invalid_arg "Server.submit: server is closed";
   let t_admit = t.cfg.now () in
   let tr0 = Tracer.now t.cfg.tracer in
   Tracer.span t.cfg.tracer ~cat:"serve" "admit" (fun () ->
       if String.length line > t.cfg.max_line_bytes then
         [
-          err None Proto.Oversized
+          err origin None Proto.Oversized
             (Printf.sprintf "request line of %d bytes exceeds max of %d"
                (String.length line) t.cfg.max_line_bytes);
         ]
       else
         match Proto.parse_request line with
-        | Error (rid, code, msg) -> [ err rid code msg ]
-        | Ok req -> admit t req ~t_admit ~tr0)
+        | Error (rid, code, msg) -> [ err origin rid code msg ]
+        | Ok req -> admit t req ~origin ~t_admit ~tr0)
 
 let flush t =
   List.concat_map
     (fun key -> flush_group t (Hashtbl.find t.groups key))
     (List.rev t.order)
 
-let drain = flush
 
 let pending t =
   Hashtbl.fold (fun _ g acc -> acc + Queue.length g.q) t.groups 0

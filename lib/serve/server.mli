@@ -5,7 +5,11 @@
     stage: it parses one request line, answers protocol errors, cache
     hits and backpressure rejections immediately, and enqueues the
     rest. A group reaching [batch_max] pending requests is flushed
-    automatically; {!flush}/{!drain} force the rest out. A flush pops
+    automatically; {!flush} forces the rest out. Every
+    response comes back paired with the [origin] its request was
+    submitted under, so one server can answer several clients
+    ({!Loop} tags each request with its connection) even when they
+    reuse the same request [id]. A flush pops
     requests in admission order, answers [deadline_exceeded] for any
     whose deadline passed while queued (they are never run), and
     executes the survivors as one {!Dphls_engines} batch with
@@ -31,8 +35,9 @@ type config = {
   queue_depth : int;
       (** per-group pending-request bound; a submit beyond it is
           [overloaded] *)
-  batch_max : int;  (** coalescing target: auto-flush threshold and the
-                        largest single engine batch *)
+  batch_max : int;
+      (** the largest single engine batch; a group that fills to it
+          runs at once *)
   cache_capacity : int;  (** LRU entries; [0] disables the cache *)
   max_seq_len : int;  (** per-sequence cap; above it is [oversized] *)
   max_line_bytes : int;  (** request-line cap; above it is [oversized] *)
@@ -57,25 +62,24 @@ type t
 
 val create : config -> t
 
-val submit : t -> string -> Proto.response list
-(** Admit one request line. Returns the responses this submission
-    produced: one immediate response (error, cache hit, or rejection),
-    or none if queued, or a whole batch when the submission tripped an
-    auto-flush. *)
+val config : t -> config
 
-val flush : t -> Proto.response list
+val submit : t -> origin:int -> string -> (int * Proto.response) list
+(** Admit one request line from the client tagged [origin]. Returns the
+    responses this submission produced, each with its request's origin:
+    one immediate response (error, cache hit, or rejection), or none if
+    queued, or a whole batch when the submission filled its group to
+    [batch_max]. *)
+
+val flush : t -> (int * Proto.response) list
 (** Run every non-empty group now, in group-creation order. *)
-
-val drain : t -> Proto.response list
-(** Graceful-shutdown flush: like {!flush}; the name marks intent at
-    call sites (EOF / signal handling in the CLI). *)
 
 val pending : t -> int
 (** Requests admitted but not yet answered. *)
 
 val close : t -> unit
 (** Shut the worker pool down (if one was started). Does not flush —
-    call {!drain} first. Idempotent. *)
+    call {!flush} first. Idempotent. *)
 
 (** End-of-run operational summary; [dphls serve] prints it on
     shutdown and [--check] gates its exit status on [slo_ok]. *)

@@ -1,19 +1,22 @@
 (* The serve layer: wire protocol golden tests, admission/backpressure,
    deadline expiry, cache determinism (differential against
-   Dphls.Align), draining, the SLO verdict, and the doc-coverage gate
-   that keeps docs/serve.md honest about every error code and field. *)
+   Dphls.Align), draining, the SLO verdict, the select loop (stepped one
+   round at a time over socketpairs), and the doc-coverage gate that
+   keeps docs/serve.md honest about every error code and field. *)
 
 module Proto = Dphls_serve.Proto
 module Cache = Dphls_serve.Cache
 module Server = Dphls_serve.Server
+module Loop = Dphls_serve.Loop
 module Json = Dphls_analysis.Json
 module Metrics = Dphls_obs.Metrics
 module Counter = Dphls_obs.Counter
 
-(* a server with a deterministic, manually-advanced clock *)
+(* a server with a deterministic, manually-advanced clock; with [tick]
+   every reading of the clock also advances it by that many seconds *)
 let make_server ?(queue_depth = 256) ?(batch_max = 64) ?(cache_capacity = 64)
     ?(max_seq_len = 512) ?(max_line_bytes = 4096) ?default_deadline_ms
-    ?slo_p99_ms ?(metrics = Metrics.disabled) () =
+    ?slo_p99_ms ?(metrics = Metrics.disabled) ?(tick = 0.0) () =
   let clock = ref 0.0 in
   let cfg =
     {
@@ -26,10 +29,18 @@ let make_server ?(queue_depth = 256) ?(batch_max = 64) ?(cache_capacity = 64)
       default_deadline_ms;
       slo_p99_ms;
       metrics;
-      now = (fun () -> !clock);
+      now =
+        (fun () ->
+          let t = !clock in
+          clock := t +. tick;
+          t);
     }
   in
   (Server.create cfg, clock)
+
+(* single-client views of the origin-tagged server calls *)
+let submit server line = List.map snd (Server.submit server ~origin:0 line)
+let flush server = List.map snd (Server.flush server)
 
 let member_str name j =
   match Json.member name j with
@@ -233,40 +244,40 @@ let test_cache_lru () =
 
 let test_submit_error_codes () =
   let server, _clock = make_server ~max_seq_len:8 ~max_line_bytes:128 () in
-  expect_error Proto.Bad_request (one (Server.submit server "nonsense"));
+  expect_error Proto.Bad_request (one (submit server "nonsense"));
   expect_error Proto.Unknown_kernel
-    (one (Server.submit server "{\"kernel\":42,\"qry\":\"A\",\"ref\":\"C\"}"));
+    (one (submit server "{\"kernel\":42,\"qry\":\"A\",\"ref\":\"C\"}"));
   expect_error Proto.Unknown_kernel
     (one
-       (Server.submit server
+       (submit server
           "{\"kernel\":\"nessie\",\"qry\":\"A\",\"ref\":\"C\"}"));
   (* kernels whose alphabet the line protocol cannot carry *)
   List.iter
     (fun id ->
       expect_error Proto.Unsupported
         (one
-           (Server.submit server
+           (submit server
               (Printf.sprintf "{\"kernel\":%d,\"qry\":\"A\",\"ref\":\"C\"}" id))))
     [ 8; 9; 14 ];
   (* sequence over max_seq_len, then a whole line over max_line_bytes *)
   expect_error Proto.Oversized
     (one
-       (Server.submit server
+       (submit server
           "{\"kernel\":1,\"qry\":\"ACGTACGTA\",\"ref\":\"C\"}"));
   expect_error Proto.Oversized
-    (one (Server.submit server (String.make 256 ' ')));
+    (one (submit server (String.make 256 ' ')));
   expect_error Proto.Bad_request
-    (one (Server.submit server "{\"kernel\":1,\"qry\":\"AXA\",\"ref\":\"C\"}"));
+    (one (submit server "{\"kernel\":1,\"qry\":\"AXA\",\"ref\":\"C\"}"));
   expect_error Proto.Bad_request
-    (one (Server.submit server "{\"kernel\":1,\"qry\":\"\",\"ref\":\"C\"}"));
+    (one (submit server "{\"kernel\":1,\"qry\":\"\",\"ref\":\"C\"}"));
   (* a forced engine that refuses the kernel shape surfaces as
      unsupported at flush *)
   let rs =
-    Server.submit server
+    submit server
       "{\"id\":\"bp\",\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\",\"engine\":\"bitpar\"}"
   in
   Alcotest.(check int) "queued" 0 (List.length rs);
-  expect_error Proto.Unsupported (one (Server.flush server));
+  expect_error Proto.Unsupported (one (flush server));
   Server.close server
 
 (* ---- backpressure ---- *)
@@ -279,15 +290,15 @@ let test_backpressure () =
   let req i =
     Printf.sprintf "{\"id\":\"r%d\",\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}" i
   in
-  Alcotest.(check int) "first queued" 0 (List.length (Server.submit server (req 1)));
-  Alcotest.(check int) "second queued" 0 (List.length (Server.submit server (req 2)));
-  expect_error Proto.Overloaded (one (Server.submit server (req 3)));
+  Alcotest.(check int) "first queued" 0 (List.length (submit server (req 1)));
+  Alcotest.(check int) "second queued" 0 (List.length (submit server (req 2)));
+  expect_error Proto.Overloaded (one (submit server (req 3)));
   Alcotest.(check int) "pending" 2 (Server.pending server);
   (* a different group has its own bounded queue *)
   Alcotest.(check int) "other kernel unaffected" 0
     (List.length
-       (Server.submit server "{\"kernel\":19,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}"));
-  let rs = Server.drain server in
+       (submit server "{\"kernel\":19,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}"));
+  let rs = flush server in
   Alcotest.(check int) "drained" 3 (List.length rs);
   List.iter (fun r -> ignore (expect_ok r)) rs;
   let s = Server.summary server in
@@ -305,13 +316,13 @@ let test_deadline_expiry () =
   let metrics = Metrics.create () in
   let server, clock = make_server ~metrics () in
   ignore
-    (Server.submit server
+    (submit server
        "{\"id\":\"late\",\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\",\"deadline_ms\":10}");
   ignore
-    (Server.submit server
+    (submit server
        "{\"id\":\"calm\",\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}");
   clock := 0.05 (* 50 ms later: past "late"'s deadline, "calm" has none *);
-  let rs = Server.flush server in
+  let rs = flush server in
   Alcotest.(check int) "both answered" 2 (List.length rs);
   (match rs with
   | [ first; second ] ->
@@ -327,9 +338,9 @@ let test_deadline_expiry () =
   (* config-default deadline applies when the request has none *)
   let server2, clock2 = make_server ~default_deadline_ms:5.0 () in
   ignore
-    (Server.submit server2 "{\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}");
+    (submit server2 "{\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}");
   clock2 := 1.0;
-  expect_error Proto.Deadline_exceeded (one (Server.flush server2));
+  expect_error Proto.Deadline_exceeded (one (flush server2));
   Server.close server;
   Server.close server2
 
@@ -343,8 +354,8 @@ let test_cache_hit_determinism () =
     Printf.sprintf "{\"kernel\":1,\"qry\":\"%s\",\"ref\":\"%s\"}" query
       reference
   in
-  let first = expect_ok (one (Server.submit server line)) in
-  let second = expect_ok (one (Server.submit server line)) in
+  let first = expect_ok (one (submit server line)) in
+  let second = expect_ok (one (submit server line)) in
   Alcotest.(check bool) "first computed" false first.cached;
   Alcotest.(check bool) "second cached" true second.cached;
   Alcotest.(check int) "same score" first.score second.score;
@@ -365,7 +376,7 @@ let test_cache_hit_determinism () =
       "{\"kernel\":1,\"qry\":\"%s\",\"ref\":\"%s\",\"band\":{\"mode\":\"fixed\",\"width\":4}}"
       query reference
   in
-  let third = expect_ok (one (Server.submit server banded)) in
+  let third = expect_ok (one (submit server banded)) in
   Alcotest.(check bool) "band override misses" false third.cached;
   Server.close server
 
@@ -380,22 +391,22 @@ let test_autoflush_and_drain_order () =
       "{\"id\":\"r%d\",\"kernel\":19,\"qry\":\"%s\",\"ref\":\"ACGTAC\"}" i
       qrys.(i - 1)
   in
-  Alcotest.(check int) "r1 queued" 0 (List.length (Server.submit server (req 1)));
-  Alcotest.(check int) "r2 queued" 0 (List.length (Server.submit server (req 2)));
-  let batch = Server.submit server (req 3) in
+  Alcotest.(check int) "r1 queued" 0 (List.length (submit server (req 1)));
+  Alcotest.(check int) "r2 queued" 0 (List.length (submit server (req 2)));
+  let batch = submit server (req 3) in
   Alcotest.(check int) "batch_max trips a flush" 3 (List.length batch);
   Alcotest.(check (list string)) "admission order" [ "r1"; "r2"; "r3" ]
     (List.map (fun r -> (expect_ok r).rid) batch);
   (* auto requests without ids drain in order with server-assigned ids *)
   for i = 4 to 5 do
-    ignore (Server.submit server (req i))
+    ignore (submit server (req i))
   done;
-  let rest = Server.drain server in
+  let rest = flush server in
   Alcotest.(check (list string)) "drain keeps order" [ "r4"; "r5" ]
     (List.map (fun r -> (expect_ok r).rid) rest);
   Alcotest.(check int) "nothing pending" 0 (Server.pending server);
   Alcotest.(check int) "drain again is empty" 0
-    (List.length (Server.drain server));
+    (List.length (flush server));
   Server.close server
 
 let test_response_fields_by_engine () =
@@ -403,7 +414,7 @@ let test_response_fields_by_engine () =
   let submit engine =
     expect_ok
       (one
-         (Server.submit server
+         (submit server
             (Printf.sprintf
                "{\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\",\"engine\":%S}"
                engine)))
@@ -441,9 +452,9 @@ let test_auto_routes_fastpath () =
   let metrics = Metrics.create () in
   let server, _clock = make_server ~batch_max:2 ~metrics () in
   let line = "{\"kernel\":19,\"qry\":\"ACGTACGT\",\"ref\":\"ACGAACGT\"}" in
-  ignore (Server.submit server line);
+  ignore (submit server line);
   let rs =
-    Server.submit server "{\"kernel\":19,\"qry\":\"ACGTACGA\",\"ref\":\"ACGAACGT\"}"
+    submit server "{\"kernel\":19,\"qry\":\"ACGTACGA\",\"ref\":\"ACGAACGT\"}"
   in
   Alcotest.(check int) "one coalesced batch" 2 (List.length rs);
   List.iter
@@ -464,9 +475,9 @@ let test_slo_verdict () =
     let server, clock = make_server ~batch_max:64 ?slo_p99_ms:slo () in
     for _ = 1 to 5 do
       ignore
-        (Server.submit server "{\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}");
+        (submit server "{\"kernel\":1,\"qry\":\"ACGT\",\"ref\":\"ACGT\"}");
       clock := !clock +. 0.04;
-      ignore (Server.flush server)
+      ignore (flush server)
     done;
     let s = Server.summary server in
     Server.close server;
@@ -488,6 +499,186 @@ let test_slo_verdict () =
   in
   Alcotest.(check bool) "slo_ok on the wire" true
     (Json.member "slo_ok" j = Some (Json.Bool false))
+
+(* ---- the select loop, one round at a time over socketpairs ---- *)
+
+(* a client connection: the test holds one end, the loop the other *)
+let connect loop =
+  let c, s = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock c;
+  Loop.add loop s;
+  c
+
+let send fd s =
+  Alcotest.(check int) "sent whole" (String.length s)
+    (Unix.write_substring fd s 0 (String.length s))
+
+(* one round; the loop never leaves a request queued behind it *)
+let round server loop =
+  let live = Loop.step loop ~timeout:0.0 in
+  Alcotest.(check int) "nothing queued across select" 0 (Server.pending server);
+  live
+
+(* every response line the client can read now, parsed *)
+let recv fd =
+  let b = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes b chunk 0 n;
+      go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ();
+  String.split_on_char '\n' (Buffer.contents b)
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match Json.parse l with
+         | Ok j -> j
+         | Error m -> Alcotest.failf "reply is not JSON (%s): %s" m l)
+
+let status j =
+  match Json.member "status" j with
+  | Some (Json.Str "ok") -> "ok"
+  | _ -> member_str "code" j
+
+(* close the clients and step until the loop has closed its ends *)
+let finish server loop clients =
+  List.iter Unix.close clients;
+  let rounds = ref 0 in
+  while round server loop do
+    incr rounds;
+    if !rounds > 100 then Alcotest.fail "loop did not wind down"
+  done;
+  Server.close server
+
+let req ?(id = "x") ?(extra = "") qry reference =
+  Printf.sprintf "{\"id\":%S,\"kernel\":1,\"qry\":%S,\"ref\":%S%s}\n" id qry
+    reference extra
+
+let test_loop_closed_loop () =
+  let server, _clock = make_server () in
+  let loop = Loop.create server in
+  let c = connect loop in
+  List.iter
+    (fun (id, qry) ->
+      send c (req ~id qry "ACGTACGT");
+      Alcotest.(check bool) "live" true (round server loop);
+      match recv c with
+      | [ j ] ->
+        Alcotest.(check string) "id" id (member_str "id" j);
+        Alcotest.(check string) "answered while open" "ok" (status j)
+      | js -> Alcotest.failf "expected one reply, got %d" (List.length js))
+    [ ("a", "ACGTACGT"); ("b", "ACGAACGT") ];
+  finish server loop [ c ]
+
+let test_loop_deadline_while_open () =
+  (* each clock reading advances 5 ms, so a 1 ms deadline passes
+     between admission and the round's flush *)
+  let server, _clock = make_server ~tick:0.005 () in
+  let loop = Loop.create server in
+  let c = connect loop in
+  send c (req ~id:"tight" ~extra:",\"deadline_ms\":1" "ACGT" "ACGT");
+  ignore (round server loop);
+  (match recv c with
+  | [ j ] ->
+    Alcotest.(check string) "id" "tight" (member_str "id" j);
+    Alcotest.(check string) "expired" "deadline_exceeded" (status j)
+  | js -> Alcotest.failf "expected one reply, got %d" (List.length js));
+  send c (req ~id:"calm" "ACGT" "ACGT");
+  ignore (round server loop);
+  (match recv c with
+  | [ j ] -> Alcotest.(check string) "still served" "ok" (status j)
+  | js -> Alcotest.failf "expected one reply, got %d" (List.length js));
+  finish server loop [ c ]
+
+let test_loop_clients_share_ids () =
+  let server, _clock = make_server () in
+  let loop = Loop.create server in
+  let a = connect loop and b = connect loop in
+  (* every request is id "x"; a's pairs match exactly, b's do not, so a
+     misrouted reply shows in its score *)
+  let a_pairs = [ ("ACGTACGT", "ACGTACGT"); ("GGATCCAA", "GGATCCAA") ]
+  and b_pairs = [ ("ACGTACGT", "ACGAACGA"); ("GGATCCAA", "GCATCGAT") ] in
+  let line (q, r) = req q r in
+  let first_a = line (List.nth a_pairs 0) and second_a = line (List.nth a_pairs 1) in
+  let cut = String.length second_a / 2 in
+  (* round 1: a's first line and half its second, b's first line; both
+     first lines run in one batch *)
+  send a (first_a ^ String.sub second_a 0 cut);
+  send b (line (List.nth b_pairs 0));
+  ignore (round server loop);
+  send a (String.sub second_a cut (String.length second_a - cut));
+  send b (line (List.nth b_pairs 1));
+  ignore (round server loop);
+  let scores fd = List.map (fun j -> int_of_float (member_num "score" j)) (recv fd) in
+  let golden pairs =
+    List.map
+      (fun (query, reference) ->
+        (Dphls.Align.global ~query ~reference ()).Dphls.Align.score)
+      pairs
+  in
+  Alcotest.(check (list int)) "a gets only its replies" (golden a_pairs) (scores a);
+  Alcotest.(check (list int)) "b gets only its replies" (golden b_pairs) (scores b);
+  Alcotest.(check bool) "the pairs' scores differ" true (golden a_pairs <> golden b_pairs);
+  finish server loop [ a; b ]
+
+let test_loop_oversized_line () =
+  let cap = 1 lsl 20 in
+  let server, _clock = make_server ~max_line_bytes:cap () in
+  let loop = Loop.create server in
+  let c = connect loop in
+  let big = String.make (2 * cap) 'A' in
+  let off = ref 0 in
+  while !off < String.length big do
+    (match
+       Unix.single_write_substring c big !off (min 65536 (String.length big - !off))
+     with
+    | k -> off := !off + k
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+    ignore (round server loop)
+  done;
+  send c ("\n" ^ req ~id:"after" "ACGT" "ACGT");
+  ignore (round server loop);
+  (match recv c with
+  | [ over; after ] ->
+    Alcotest.(check string) "one oversized reply" "oversized" (status over);
+    Alcotest.(check string) "next line id" "after" (member_str "id" after);
+    Alcotest.(check string) "next line served" "ok" (status after)
+  | js -> Alcotest.failf "expected two replies, got %d" (List.length js));
+  Alcotest.(check bool) "reader held at most the cap" true
+    (Loop.line_high_water loop <= cap);
+  finish server loop [ c ]
+
+let test_loop_slow_reader () =
+  let server, _clock = make_server () in
+  let loop = Loop.create server in
+  let slow = connect loop and fast = connect loop in
+  (* [slow] sends cache-hit requests and never reads a reply: once its
+     unsent replies pass max_line_bytes the loop stops reading it, so
+     its own socket fills and its writes would block *)
+  let burst = String.concat "" (List.init 100 (fun _ -> req "ACGT" "ACGT")) in
+  let rest = ref burst and blocked = ref false and rounds = ref 0 in
+  while (not !blocked) && !rounds < 500 do
+    (match Unix.single_write_substring slow !rest 0 (String.length !rest) with
+    | k ->
+      rest := String.sub !rest k (String.length !rest - k);
+      if !rest = "" then rest := burst
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      blocked := true);
+    ignore (round server loop);
+    incr rounds
+  done;
+  Alcotest.(check bool) "loop stopped reading the slow client" true !blocked;
+  send fast (req ~id:"fast" "ACGTAC" "ACGTAC");
+  ignore (round server loop);
+  (match recv fast with
+  | [ j ] ->
+    Alcotest.(check string) "id" "fast" (member_str "id" j);
+    Alcotest.(check string) "second client served" "ok" (status j)
+  | js -> Alcotest.failf "expected one reply, got %d" (List.length js));
+  finish server loop [ slow; fast ]
 
 (* ---- docs coverage ---- *)
 
@@ -550,6 +741,16 @@ let suite =
     Alcotest.test_case "server: auto routes the fast path" `Quick
       test_auto_routes_fastpath;
     Alcotest.test_case "server: slo verdict" `Quick test_slo_verdict;
+    Alcotest.test_case "loop: closed-loop client answered while open" `Quick
+      test_loop_closed_loop;
+    Alcotest.test_case "loop: deadline fires, connection stays open" `Quick
+      test_loop_deadline_while_open;
+    Alcotest.test_case "loop: clients sharing an id get their own replies"
+      `Quick test_loop_clients_share_ids;
+    Alcotest.test_case "loop: oversized line is bounded and skipped" `Quick
+      test_loop_oversized_line;
+    Alcotest.test_case "loop: a client that never reads stalls no one" `Quick
+      test_loop_slow_reader;
     Alcotest.test_case "docs: serve.md covers the protocol" `Quick
       test_docs_cover_protocol;
   ]
